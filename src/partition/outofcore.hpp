@@ -12,12 +12,13 @@
 //  * `run_partitioned` — in-memory input (string_view), fragments are
 //    views produced by partition(); the classic serial chain.
 //  * `run_partitioned_file` — file-backed input streamed through
-//    StreamingFragmentSource: fragment N+1 is read on a prefetch thread
-//    while fragment N runs through the engine (double-buffered, <= 2
-//    fragments resident), and per-fragment outputs fold into the running
-//    merged result as each fragment retires (job.incremental_merge), so
-//    there is neither a whole-input materialisation up front nor a
-//    single-threaded sort tail at the end.
+//    StreamingFragmentSource: the pages of fragment N+1 are read ahead
+//    into buffer-pool frames by the pool's I/O threads while fragment N
+//    runs through the engine (about one private fragment resident; the
+//    read-ahead lives in the pool), and per-fragment outputs fold into
+//    the running merged result as each fragment retires
+//    (job.incremental_merge), so there is neither a whole-input
+//    materialisation up front nor a single-threaded sort tail at the end.
 #pragma once
 
 #include <cstdint>

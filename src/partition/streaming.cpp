@@ -126,6 +126,8 @@ storage::PoolStats StreamingFragmentSource::pool_stats_delta() const {
   delta.write_retries = now.write_retries - base.write_retries;
   delta.read_errors = now.read_errors - base.read_errors;
   delta.write_errors = now.write_errors - base.write_errors;
+  delta.readahead_evicted = now.readahead_evicted - base.readahead_evicted;
+  delta.ring_recycles = now.ring_recycles - base.ring_recycles;
   return delta;
 }
 

@@ -198,6 +198,7 @@ Result<FrameGuard> BufferManager::pin(const std::shared_ptr<File>& file,
   }
   const auto deadline = steady_clock::now() + kWaitDeadline;
   const PageId page{file->id(), page_no};
+  const bool overflowing = overflowing_scan(*file, hint);
   int load_attempts = 0;
   bool miss_counted = false;
 
@@ -212,9 +213,21 @@ Result<FrameGuard> BufferManager::pin(const std::shared_ptr<File>& file,
           if (!miss_counted) {
             ++hits_;
             MCSD_OBS_COUNT("storage.hits", 1);
-            // Only a *re*-access promotes the CLOCK bit: claiming one's
-            // own miss keeps the insert hint, so sequential scans stay
-            // first-out while genuinely hot pages get shielded.
+          }
+          if (hint != AccessHint::kSequential) {
+            // A caller that may come back, even for a page a scan read
+            // ahead: shield it like any re-referenced page.
+            frame.unconsumed = false;
+            frame.referenced = true;
+          } else if (frame.unconsumed) {
+            // A scan consuming its own load (read-ahead or miss): the
+            // page is done with and stays first-out.  An overflowing
+            // scan makes it its own next victim.
+            frame.unconsumed = false;
+            if (overflowing) ring_push_locked(idx);
+          } else if (!miss_counted) {
+            // Only a re-access of a page resident before this pin's
+            // scan shields it — genuinely hot pages survive scans.
             frame.referenced = true;
           }
           frame.pins.fetch_add(1, std::memory_order_acq_rel);
@@ -235,9 +248,7 @@ Result<FrameGuard> BufferManager::pin(const std::shared_ptr<File>& file,
             Error why{ErrorCode::kIoError, frame.error};
             if (frame.pins.load(std::memory_order_acquire) == 0) {
               // Reclaim the dead frame so a bad page can't wedge it.
-              table_.erase(it);
-              frame.file.reset();
-              frame.state = FrameState::kFree;
+              unmap_locked(idx);
               free_.push_back(idx);
             }
             return why;
@@ -259,7 +270,7 @@ Result<FrameGuard> BufferManager::pin(const std::shared_ptr<File>& file,
 
     // Miss: take a frame, map it, and queue the load.
     auto acquired = acquire_frame_locked(lock, /*allow_writeback=*/true,
-                                         /*allow_wait=*/true);
+                                         /*allow_wait=*/true, overflowing);
     if (!acquired.is_ok()) return acquired.error();
     if (table_.contains(page)) {
       // Someone mapped the page while the lock was dropped for a
@@ -274,15 +285,7 @@ Result<FrameGuard> BufferManager::pin(const std::shared_ptr<File>& file,
       MCSD_OBS_COUNT("storage.misses", 1);
     }
     const std::uint32_t idx = acquired.value();
-    Frame& frame = frames_[idx];
-    frame.page = page;
-    frame.file = file;
-    frame.state = FrameState::kLoading;
-    frame.dirty = false;
-    frame.referenced = hint != AccessHint::kSequential;
-    frame.valid_bytes = 0;
-    frame.error.clear();
-    table_[page] = idx;
+    map_for_load_locked(idx, page, file, hint);
     lock.unlock();
     requests_.push(IoRequest{idx, throttle_mibps});
     lock.lock();
@@ -320,15 +323,14 @@ Result<FrameGuard> BufferManager::pin_write(const std::shared_ptr<File>& file,
         continue;
       }
       // kFailed: reclaim and fall through to a fresh mapping.
-      table_.erase(it);
-      frame.file.reset();
-      frame.state = FrameState::kFree;
+      unmap_locked(idx);
       free_.push_back(idx);
       continue;
     }
 
     auto acquired = acquire_frame_locked(lock, /*allow_writeback=*/true,
-                                         /*allow_wait=*/true);
+                                         /*allow_wait=*/true,
+                                         /*from_ring=*/false);
     if (!acquired.is_ok()) return acquired.error();
     if (table_.contains(page)) {
       frames_[acquired.value()].state = FrameState::kFree;
@@ -362,18 +364,11 @@ void BufferManager::prefetch(const std::shared_ptr<File>& file,
     // Opportunistic only: never write back, never wait — a prefetch that
     // would stall the consumer defeats its purpose.
     auto acquired = acquire_frame_locked(lock, /*allow_writeback=*/false,
-                                         /*allow_wait=*/false);
+                                         /*allow_wait=*/false,
+                                         overflowing_scan(*file, hint));
     if (!acquired.is_ok()) return;
     idx = acquired.value();
-    Frame& frame = frames_[idx];
-    frame.page = page;
-    frame.file = file;
-    frame.state = FrameState::kLoading;
-    frame.dirty = false;
-    frame.referenced = hint != AccessHint::kSequential;
-    frame.valid_bytes = 0;
-    frame.error.clear();
-    table_[page] = idx;
+    map_for_load_locked(idx, page, file, hint);
     ++misses_;  // a prefetch *is* the I/O initiation for this page
     ++prefetches_;
   }
@@ -465,9 +460,7 @@ Status BufferManager::drop_cached() {
       }
       frame.dirty = false;
     }
-    table_.erase(frame.page);
-    frame.file.reset();
-    frame.state = FrameState::kFree;
+    unmap_locked(i);
     free_.push_back(i);
     ++evictions_;
   }
@@ -486,6 +479,8 @@ PoolStats BufferManager::stats() const {
   out.write_retries = write_retries_;
   out.read_errors = read_errors_;
   out.write_errors = write_errors_;
+  out.readahead_evicted = readahead_evicted_;
+  out.ring_recycles = ring_recycles_;
   out.capacity_frames = frames_.size();
   for (const Frame& frame : frames_) {
     if (frame.state == FrameState::kReady ||
@@ -530,7 +525,8 @@ std::string_view BufferManager::frame_bytes_view(
 }
 
 Result<std::uint32_t> BufferManager::acquire_frame_locked(
-    std::unique_lock<std::mutex>& lock, bool allow_writeback, bool allow_wait) {
+    std::unique_lock<std::mutex>& lock, bool allow_writeback, bool allow_wait,
+    bool from_ring) {
   const auto deadline = steady_clock::now() + kWaitDeadline;
   for (;;) {
     if (!free_.empty()) {
@@ -538,9 +534,17 @@ Result<std::uint32_t> BufferManager::acquire_frame_locked(
       free_.pop_back();
       return idx;
     }
+    if (from_ring) {
+      if (const std::uint32_t idx = take_ring_frame_locked(); idx != kNoFrame) {
+        return idx;
+      }
+    }
 
-    // CLOCK sweep: up to two revolutions (the first may only clear
-    // reference bits).
+    // CLOCK sweep: up to two revolutions.  The first may only clear
+    // reference bits, and passes over unconsumed read-ahead; the second
+    // lets a demand pin take that too, so a stream abandoned mid-file
+    // cannot wedge the pool.  A prefetch never does: evicting one scan's
+    // read-ahead to queue another's gains nothing.
     const std::size_t n = frames_.size();
     for (std::size_t step = 0; step < 2 * n; ++step) {
       const auto idx = static_cast<std::uint32_t>(clock_hand_);
@@ -549,20 +553,21 @@ Result<std::uint32_t> BufferManager::acquire_frame_locked(
       if (frame.pins.load(std::memory_order_acquire) != 0) continue;
       if (frame.state == FrameState::kFailed) {
         // A load result nobody claimed: reclaim without ceremony.
-        table_.erase(frame.page);
-        frame.file.reset();
-        frame.state = FrameState::kFree;
+        unmap_locked(idx);
         return idx;
       }
       if (frame.state != FrameState::kReady) continue;
+      if (frame.unconsumed && (step < n || !allow_wait)) continue;
       if (frame.referenced) {
         frame.referenced = false;
         continue;
       }
       if (!frame.dirty) {
-        table_.erase(frame.page);
-        frame.file.reset();
-        frame.state = FrameState::kFree;
+        if (frame.unconsumed) {
+          ++readahead_evicted_;
+          MCSD_OBS_COUNT("storage.readahead_evicted", 1);
+        }
+        unmap_locked(idx);
         ++evictions_;
         MCSD_OBS_COUNT("storage.evictions", 1);
         return idx;
@@ -583,9 +588,7 @@ Result<std::uint32_t> BufferManager::acquire_frame_locked(
       frame_done_.notify_all();
       if (wrote.is_ok()) {
         frame.dirty = false;
-        table_.erase(frame.page);
-        frame.file.reset();
-        frame.state = FrameState::kFree;
+        unmap_locked(idx);
         ++evictions_;
         MCSD_OBS_COUNT("storage.evictions", 1);
         return idx;
@@ -608,6 +611,83 @@ Result<std::uint32_t> BufferManager::acquire_frame_locked(
     }
     frame_done_.wait_for(lock, kWaitTick);
   }
+}
+
+void BufferManager::map_for_load_locked(std::uint32_t idx, const PageId& page,
+                                        const std::shared_ptr<File>& file,
+                                        AccessHint hint) {
+  Frame& frame = frames_[idx];
+  frame.page = page;
+  frame.file = file;
+  frame.state = FrameState::kLoading;
+  frame.dirty = false;
+  frame.referenced = hint != AccessHint::kSequential;
+  frame.unconsumed = hint == AccessHint::kSequential;
+  frame.valid_bytes = 0;
+  frame.error.clear();
+  table_[page] = idx;
+}
+
+void BufferManager::unmap_locked(std::uint32_t idx) {
+  Frame& frame = frames_[idx];
+  ring_unlink_locked(idx);
+  table_.erase(frame.page);
+  frame.file.reset();
+  frame.unconsumed = false;
+  frame.state = FrameState::kFree;
+}
+
+void BufferManager::ring_push_locked(std::uint32_t idx) {
+  Frame& frame = frames_[idx];
+  ring_unlink_locked(idx);
+  frame.in_ring = true;
+  frame.ring_prev = ring_newest_;
+  frame.ring_next = kNoFrame;
+  if (ring_newest_ != kNoFrame) frames_[ring_newest_].ring_next = idx;
+  ring_newest_ = idx;
+}
+
+void BufferManager::ring_unlink_locked(std::uint32_t idx) {
+  Frame& frame = frames_[idx];
+  if (!frame.in_ring) return;
+  if (frame.ring_prev != kNoFrame) {
+    frames_[frame.ring_prev].ring_next = frame.ring_next;
+  }
+  if (frame.ring_next != kNoFrame) {
+    frames_[frame.ring_next].ring_prev = frame.ring_prev;
+  } else {
+    ring_newest_ = frame.ring_prev;
+  }
+  frame.in_ring = false;
+  frame.ring_prev = kNoFrame;
+  frame.ring_next = kNoFrame;
+}
+
+std::uint32_t BufferManager::take_ring_frame_locked() {
+  std::uint32_t idx = ring_newest_;
+  while (idx != kNoFrame) {
+    Frame& frame = frames_[idx];
+    const std::uint32_t older = frame.ring_prev;
+    if (frame.pins.load(std::memory_order_acquire) != 0) {
+      idx = older;  // still being read: stays in line for later
+      continue;
+    }
+    ring_unlink_locked(idx);
+    if (frame.state != FrameState::kReady || frame.dirty ||
+        frame.referenced || frame.unconsumed) {
+      // Re-accessed or rewritten since it was consumed: no longer a
+      // one-touch scan page, so CLOCK manages it from here on.
+      idx = older;
+      continue;
+    }
+    unmap_locked(idx);
+    ++evictions_;
+    ++ring_recycles_;
+    MCSD_OBS_COUNT("storage.evictions", 1);
+    MCSD_OBS_COUNT("storage.ring_recycles", 1);
+    return idx;
+  }
+  return kNoFrame;
 }
 
 Status BufferManager::write_frame(const std::shared_ptr<File>& file,
@@ -674,10 +754,8 @@ bool BufferManager::drop_file_pages_locked(std::uint64_t file_id) {
     Frame& frame = frames_[i];
     if (frame.state == FrameState::kFree) continue;
     if (frame.page.file_id != file_id) continue;
-    table_.erase(frame.page);
-    frame.file.reset();
+    unmap_locked(i);
     frame.dirty = false;  // stale content: discard, never write back
-    frame.state = FrameState::kFree;
     free_.push_back(i);
     ++evictions_;
   }

@@ -18,8 +18,12 @@
 //     read-ahead overlaps compute without a per-consumer thread;
 //   * a write-back path for spill data: dirty frames are flushed before
 //     reuse (pwrite at eviction), with flush() for durability points;
-//   * CLOCK eviction honouring pin counts, plus a scan-resistant
-//     sequential hint (see AccessHint).
+//   * CLOCK eviction honouring pin counts, plus scan-aware replacement
+//     for AccessHint::kSequential pages: read-ahead is protected until
+//     its first pin, and a scan of a file larger than the pool recycles
+//     its own consumed frames (most recently consumed first) so the rest
+//     of the pool keeps the file's earlier pages for the next run.  A
+//     scan of a file that fits stays on plain CLOCK.
 //
 // Fault injection: page loads check fault::Site::kStorageRead and dirty
 // write-back checks kStorageWrite; transient injections are retried
@@ -82,6 +86,12 @@ struct PoolStats {
   std::uint64_t write_retries = 0;
   std::uint64_t read_errors = 0;
   std::uint64_t write_errors = 0;
+  /// Scan pages evicted before their first pin — read-ahead loaded for
+  /// nothing.  0 unless the pool is too small for the scans running.
+  std::uint64_t readahead_evicted = 0;
+  /// Evictions served from the scan ring (a consumed scan frame reused
+  /// for the next load) instead of the CLOCK sweep.
+  std::uint64_t ring_recycles = 0;
   std::uint64_t resident_frames = 0;
   std::uint64_t pinned_frames = 0;
   std::uint64_t capacity_frames = 0;
@@ -261,11 +271,21 @@ class BufferManager {
     kFailed,   ///< load failed; error holds why.  Reclaimable.
   };
 
+  static constexpr std::uint32_t kNoFrame = UINT32_MAX;
+
   struct Frame {
     PageId page;                      // guarded by mutex_
     FrameState state = FrameState::kFree;  // guarded by mutex_
     bool dirty = false;               // guarded by mutex_ / pin ordering
     bool referenced = false;          // CLOCK bit, guarded by mutex_
+    // Loaded for a scan and not pinned yet: the CLOCK sweep passes over
+    // it once, so a scan's next read-ahead cannot evict its last one.
+    bool unconsumed = false;          // guarded by mutex_
+    // Scan-ring links (consumed scan frames, oldest to newest); kNoFrame
+    // ends the list.  Guarded by mutex_.
+    bool in_ring = false;
+    std::uint32_t ring_prev = kNoFrame;
+    std::uint32_t ring_next = kNoFrame;
     std::shared_ptr<File> file;       // set while mapped, guarded by mutex_
     std::uint32_t valid_bytes = 0;    // written before kReady / by the
                                       // (single) pinned writer
@@ -285,12 +305,41 @@ class BufferManager {
   [[nodiscard]] std::string_view frame_bytes_view(
       std::uint32_t frame) const noexcept;
 
-  /// Takes a frame off the free list or evicts one (possibly writing it
-  /// back with the lock dropped).  On return the lock is held and the
-  /// frame is unmapped.  kUnavailable when everything stays pinned.
+  /// Takes a frame off the free list, the scan ring (only when
+  /// `from_ring`), or the CLOCK sweep (possibly writing a victim back
+  /// with the lock dropped).  On return the lock is held and the frame
+  /// is unmapped.  kUnavailable when everything stays pinned.
+  /// `allow_wait` marks a demand acquisition: only those may evict
+  /// unconsumed read-ahead.
   Result<std::uint32_t> acquire_frame_locked(std::unique_lock<std::mutex>& lock,
                                              bool allow_writeback,
-                                             bool allow_wait);
+                                             bool allow_wait, bool from_ring);
+
+  /// A scan of a file larger than the pool — the only loads that use
+  /// the scan ring.  A file that fits is left to CLOCK, which evicts
+  /// stale pages of other files and keeps the whole file for a rerun.
+  [[nodiscard]] bool overflowing_scan(const File& file,
+                                      AccessHint hint) const noexcept {
+    return hint == AccessHint::kSequential && file.size() > capacity_bytes();
+  }
+
+  /// Maps a frame fresh from acquire_frame_locked to `page` for a load.
+  void map_for_load_locked(std::uint32_t idx, const PageId& page,
+                           const std::shared_ptr<File>& file, AccessHint hint);
+
+  /// Unmaps a frame (page table entry, file ref, scan-ring link) and
+  /// marks it kFree; the caller decides whether it goes on the free list.
+  void unmap_locked(std::uint32_t idx);
+
+  /// Scan ring: consumed frames of overflowing scans, newest last.  Once
+  /// the free list is empty, such a scan's next victim is the newest
+  /// unpinned, clean, unreferenced one, so the scan streams through a
+  /// few frames of its own instead of flushing everything older (MRU
+  /// replacement).
+  void ring_push_locked(std::uint32_t idx);
+  void ring_unlink_locked(std::uint32_t idx);
+  /// Unmaps and returns the ring's victim, or kNoFrame.
+  std::uint32_t take_ring_frame_locked();
 
   /// One pwrite of a dirty frame with fault injection + retries.  Called
   /// with the lock *dropped*; the frame must be in kWriting.
@@ -312,6 +361,7 @@ class BufferManager {
   std::unordered_map<PageId, std::uint32_t, PageIdHash> table_;
   std::vector<std::uint32_t> free_;
   std::size_t clock_hand_ = 0;
+  std::uint32_t ring_newest_ = kNoFrame;  ///< scan ring's tail
 
   // Stats (guarded by mutex_).
   std::uint64_t hits_ = 0;
@@ -323,6 +373,8 @@ class BufferManager {
   std::uint64_t write_retries_ = 0;
   std::uint64_t read_errors_ = 0;
   std::uint64_t write_errors_ = 0;
+  std::uint64_t readahead_evicted_ = 0;
+  std::uint64_t ring_recycles_ = 0;
 
   /// Emulated-device time cursor for throttled loads: transfer costs are
   /// serialised through this so N I/O threads still model one device.

@@ -38,9 +38,13 @@ struct PageIdHash {
 enum class AccessHint : std::uint8_t {
   kNormal,      ///< may be re-referenced soon: insert with the CLOCK
                 ///< reference bit set
-  kSequential,  ///< one-touch scan: insert with the bit clear, so a
-                ///< streaming pass recycles its own frames instead of
-                ///< flushing re-referenced residents (scan resistance)
+  kSequential,  ///< one-touch scan: the page is protected from eviction
+                ///< until its first pin, then left unreferenced.  For a
+                ///< file larger than the pool it also joins the scan
+                ///< ring, so the pass recycles its own frames instead of
+                ///< flushing re-referenced residents or its own unread
+                ///< read-ahead.  A pin of a page that was already
+                ///< resident still sets the reference bit.
 };
 
 }  // namespace mcsd::storage

@@ -72,14 +72,17 @@ else
   exit 1
 fi
 
-# bench_record storage: a tiny cold-vs-warm run through the buffer pool
+# bench_record storage: a small cold-vs-warm run through the buffer pool
 # must record the warm-rerun speedup, hit rates for the fitting and
 # overflow pools, and the byte-identity + residency gates.  Appends to
-# the same out-of-core trajectory file checked above.
-"$TOOLS_DIR/bench_record" --suite storage --bytes 1M --reps 2 \
+# the same out-of-core trajectory file checked above.  4M is the
+# smallest corpus whose overflow pool (1/4 of it, 64 KiB frames) holds
+# one 256 KiB reader refill plus the source's read-ahead cap.
+"$TOOLS_DIR/bench_record" --suite storage --bytes 4M --reps 2 \
     --workers 2 --label smoke --out BENCH_outofcore.json > /dev/null
 for needle in storage_cold storage_warm warm_rerun_speedup hit_rate \
     warm_rerun_speedup_overflow hit_rate_overflow \
+    read_amplification_overflow \
     output_identical_warm_cold peak_resident_within_pool pool_bytes; do
   grep -q "$needle" BENCH_outofcore.json || {
     echo "BENCH_outofcore.json: missing '$needle'"; exit 1;
@@ -87,6 +90,12 @@ for needle in storage_cold storage_warm warm_rerun_speedup hit_rate \
 done
 grep -q '"output_identical_warm_cold": true' BENCH_outofcore.json || {
   echo "storage suite: warm output diverged from cold"; exit 1;
+}
+# The overflow rerun loads each page at most once and keeps some of the
+# cold run's pages: a deterministic page count, unlike a timing ratio.
+grep '"read_amplification_overflow"' BENCH_outofcore.json | tail -1 |
+    grep -Eq '"read_amplification_overflow": 0\.' || {
+  echo "storage suite: overflow rerun read amplification >= 1.0"; exit 1;
 }
 
 # bench_record cache: a tiny run against a live daemon must record the

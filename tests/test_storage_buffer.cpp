@@ -3,15 +3,20 @@
 // reuse, and concurrent pin/unpin from many threads is race-free (this
 // binary runs under TSan in CI).  Plus the supporting contracts: warm
 // re-pins are hits, the sequential hint keeps scans from flushing hot
-// pages, injected read/write faults are retried deterministically, and
-// a file replaced on disk never serves stale pages.
+// pages, read-ahead survives until consumed and a scan larger than the
+// pool recycles its own frames, injected read/write faults are retried
+// deterministically, and a file replaced on disk never serves stale
+// pages.
 #include "storage/buffer_manager.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -35,13 +40,37 @@ PoolOptions tiny_pool(std::size_t frames, std::size_t io_threads = 1) {
 }
 
 /// `pages` full pages where page p is filled with a distinct byte.
-std::string patterned(std::size_t pages, std::size_t tail = 0) {
+std::string patterned(std::size_t pages, std::size_t tail = 0,
+                      char first = 'a') {
   std::string out;
   for (std::size_t p = 0; p < pages; ++p) {
-    out.append(kFrame, static_cast<char>('a' + (p % 26)));
+    out.append(kFrame, static_cast<char>(first + (p % 26)));
   }
   out.append(tail, '!');
   return out;
+}
+
+/// Reads `path` front to back in `chunk`-byte reads through a fresh
+/// PooledFileSource with the largest read-ahead the pool allows — the
+/// access pattern of one streaming out-of-core run.  `compute` is spent
+/// after each read, as an engine would, so the read-ahead lands first.
+Result<std::string> scan(const std::shared_ptr<BufferManager>& pool,
+                         const std::filesystem::path& path,
+                         std::size_t chunk = kFrame,
+                         std::chrono::microseconds compute = {}) {
+  SourceOptions options;
+  options.readahead_pages = 1'000;  // open() caps it to the pool
+  auto source = PooledFileSource::open(pool, path, options);
+  if (!source.is_ok()) return source.error();
+  std::string out;
+  std::string buffer(chunk, '\0');
+  for (;;) {
+    auto got = source.value()->read_at(out.size(), buffer.data(), chunk);
+    if (!got.is_ok()) return got.error();
+    if (got.value() == 0) return out;
+    out.append(buffer, 0, got.value());
+    std::this_thread::sleep_for(compute);
+  }
 }
 
 TEST(BufferManager, RoundTripReadAndWarmRepin) {
@@ -309,6 +338,144 @@ TEST(BufferManager, SequentialScanDoesNotEvictHotPage) {
       << "hot page was evicted by a sequential scan";
 }
 
+// Read-ahead is protected until the scan pins it: a scan four times the
+// pool loads every page exactly once, however the CLOCK hand falls.
+TEST(BufferManager, ReadAheadSurvivesUntilConsumed) {
+  TempDir dir{"storage"};
+  const auto path = dir / "scan.bin";
+  constexpr std::size_t kPool = 8;
+  constexpr std::size_t kPages = 4 * kPool;
+  const std::string data = patterned(kPages);
+  ASSERT_TRUE(write_file(path, data).is_ok());
+
+  auto pool = std::make_shared<BufferManager>(tiny_pool(kPool));
+  auto got = scan(pool, path, kFrame, std::chrono::milliseconds{1});
+  ASSERT_TRUE(got.is_ok()) << got.error().to_string();
+  EXPECT_EQ(got.value(), data);
+
+  const PoolStats stats = pool->stats();
+  EXPECT_EQ(stats.misses, kPages) << "a read-ahead page was loaded twice";
+  EXPECT_EQ(stats.readahead_evicted, 0u);
+  EXPECT_GT(stats.ring_recycles, 0u);
+}
+
+// A re-scan of a file larger than the pool finds the pages the first
+// scan left behind: the scan recycled a few frames of its own instead of
+// flushing the whole pool (LRU flooding would leave zero hits).
+TEST(BufferManager, LoopingScanLargerThanPoolKeepsEarlierPages) {
+  TempDir dir{"storage"};
+  const auto path = dir / "scan.bin";
+  constexpr std::size_t kPool = 8;
+  constexpr std::size_t kPages = 4 * kPool;
+  constexpr std::size_t kReadahead = kPool / 2 - 1;  // PooledFileSource's cap
+  const std::string data = patterned(kPages);
+  ASSERT_TRUE(write_file(path, data).is_ok());
+
+  auto pool = std::make_shared<BufferManager>(tiny_pool(kPool));
+  ASSERT_TRUE(scan(pool, path).is_ok());
+  const PoolStats first = pool->stats();
+
+  auto again = scan(pool, path);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again.value(), data);
+  const std::uint64_t loads = pool->stats().misses - first.misses;
+  ASSERT_LE(loads, kPages);
+  EXPECT_GE(kPages - loads, kPool - (kReadahead + 2))
+      << "second scan found none of the first scan's pages resident";
+}
+
+// A long-lived pool's steady state: already full of other files' pages.
+// A scan of a file that fits the pool displaces those stale pages (plain
+// CLOCK) rather than recycling its own frames, so its rerun loads
+// nothing.  The scan ring is only for files larger than the pool.
+TEST(BufferManager, FittingScanIntoFullPoolStaysResidentForRerun) {
+  TempDir dir{"storage"};
+  constexpr std::size_t kPool = 16;
+  // Well past PooledFileSource's read-ahead cap (kPool / 2 - 1), so the
+  // scan keeps loading after its first pages are consumed.
+  const auto fitting_path = dir / "fitting.bin";
+  const std::string fitting = patterned(kPool * 3 / 4, 0, 'A');
+  ASSERT_TRUE(write_file(fitting_path, fitting).is_ok());
+
+  // The earlier traffic either exactly fills the pool or overflows it.
+  for (const std::size_t filler_pages : {kPool, 2 * kPool}) {
+    SCOPED_TRACE(filler_pages);
+    const auto filler_path =
+        dir / ("filler-" + std::to_string(filler_pages) + ".bin");
+    ASSERT_TRUE(write_file(filler_path, patterned(filler_pages)).is_ok());
+
+    auto pool = std::make_shared<BufferManager>(tiny_pool(kPool));
+    ASSERT_TRUE(scan(pool, filler_path).is_ok());
+    ASSERT_EQ(pool->stats().resident_frames, kPool);
+    ASSERT_TRUE(scan(pool, fitting_path).is_ok());
+
+    const std::uint64_t loads_before = pool->stats().misses;
+    auto again = scan(pool, fitting_path);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_EQ(again.value(), fitting);
+    EXPECT_EQ(pool->stats().misses, loads_before)
+        << "rerun of a file that fits the pool loaded pages again";
+  }
+}
+
+// A kNormal pin of a page a scan read ahead is a caller that may come
+// back: the page gets the reference bit instead of being queued as a
+// scan's next victim.
+TEST(BufferManager, NormalPinOfReadAheadShieldsPage) {
+  TempDir dir{"storage"};
+  const auto hot_path = dir / "hot.bin";
+  const auto scan_path = dir / "scan.bin";
+  ASSERT_TRUE(write_file(hot_path, patterned(1, 0, 'A')).is_ok());
+  ASSERT_TRUE(write_file(scan_path, patterned(4)).is_ok());
+
+  BufferManager pool{tiny_pool(2)};
+  auto hot = pool.open_file(hot_path);
+  auto scan_file = pool.open_file(scan_path);
+  ASSERT_TRUE(hot.is_ok());
+  ASSERT_TRUE(scan_file.is_ok());
+
+  ASSERT_TRUE(pool.pin(scan_file.value(), 0, AccessHint::kSequential).is_ok());
+  pool.prefetch(hot.value(), 0, AccessHint::kSequential);
+  ASSERT_TRUE(pool.pin(hot.value(), 0, AccessHint::kNormal).is_ok());
+  // The pool is full: the scan's next page must displace its own page 0.
+  ASSERT_TRUE(pool.pin(scan_file.value(), 1, AccessHint::kSequential).is_ok());
+
+  const std::uint64_t misses_before = pool.stats().misses;
+  auto again = pool.pin(hot.value(), 0, AccessHint::kNormal);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again.value().bytes().front(), 'A');
+  EXPECT_EQ(pool.stats().misses, misses_before)
+      << "a kNormal-pinned read-ahead page was evicted by a scan";
+}
+
+// The read-ahead shield is one CLOCK revolution, not forever: when every
+// unpinned frame is unconsumed read-ahead, a demand pin still gets one.
+TEST(BufferManager, UnconsumedReadAheadNeverWedgesPool) {
+  TempDir dir{"storage"};
+  const auto scan_path = dir / "scan.bin";
+  const auto other_path = dir / "other.bin";
+  ASSERT_TRUE(write_file(scan_path, patterned(8)).is_ok());
+  ASSERT_TRUE(write_file(other_path, patterned(2, 0, 'A')).is_ok());
+
+  BufferManager pool{tiny_pool(4)};
+  auto scan_file = pool.open_file(scan_path);
+  auto other = pool.open_file(other_path);
+  ASSERT_TRUE(scan_file.is_ok());
+  ASSERT_TRUE(other.is_ok());
+
+  auto held = pool.pin(other.value(), 0);
+  ASSERT_TRUE(held.is_ok());
+  for (std::uint64_t page = 0; page < 3; ++page) {
+    pool.prefetch(scan_file.value(), page, AccessHint::kSequential);
+  }
+  ASSERT_EQ(pool.stats().prefetches, 3u);
+
+  auto guard = pool.pin(other.value(), 1);
+  ASSERT_TRUE(guard.is_ok()) << guard.error().to_string();
+  EXPECT_EQ(guard.value().bytes().front(), 'B');
+  EXPECT_EQ(pool.stats().readahead_evicted, 1u);
+}
+
 TEST(BufferManager, ChangedFileOnDiskNeverServesStalePages) {
   TempDir dir{"storage"};
   const auto path = dir / "mutable.bin";
@@ -472,6 +639,46 @@ TEST(BufferManager, ConcurrentPinUnpinFromEightThreads) {
   EXPECT_EQ(stats.pinned_frames, 0u);
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads) * kIters);
+}
+
+// Two scans of two different files at once through a pool smaller than
+// either, each caller re-reading its own file three times for every pass
+// over the other's (scan_ooc's mix): read-ahead, the scan ring and the
+// CLOCK sweep interleave across threads, yet every byte is exact and no
+// pin times out.
+TEST(BufferManager, ConcurrentScansLargerThanPoolStayByteExact) {
+  TempDir dir{"storage"};
+  constexpr std::size_t kPages = 24;
+  const std::filesystem::path paths[] = {dir / "corpus.bin",
+                                         dir / "lines.bin"};
+  const std::string contents[] = {patterned(kPages, 100),
+                                  patterned(kPages, 100, 'A')};
+  for (int f = 0; f < 2; ++f) {
+    ASSERT_TRUE(write_file(paths[f], contents[f]).is_ok());
+  }
+
+  auto pool = std::make_shared<BufferManager>(tiny_pool(8, /*io_threads=*/2));
+  constexpr int kRounds = 8;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const int f = round % 4 == 3 ? 1 - t : t;
+        // Odd-sized reads straddle page boundaries.
+        auto got = scan(pool, paths[f], kFrame - 1000 + 300 * t);
+        if (!got.is_ok() || got.value() != contents[f]) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  const PoolStats stats = pool->stats();
+  EXPECT_EQ(stats.pinned_frames, 0u);
+  EXPECT_EQ(stats.read_errors, 0u);
 }
 
 TEST(SpillWriter, RoundTripsOddSizedAppends) {
