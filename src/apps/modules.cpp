@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "apps/external_sort.hpp"
 #include "apps/stringmatch.hpp"
@@ -41,29 +42,59 @@ double request_read_throttle(const KeyValueMap& params) {
   return mibps.is_ok() && mibps.value() > 0.0 ? mibps.value() : 0.0;
 }
 
-/// Warm execution state, ROADMAP item 4 level (b): one resident
-/// mr::Engine per requested worker count, reused across invocations.
-/// The engine's per-worker scratch (WorkerState: emitter partitions,
-/// gather tables, attribution) then survives between requests instead of
-/// being torn down per run, so even a cache *miss* on a warm module skips
-/// the allocation/setup cost.  The mutex serialises invocations sharing
-/// the state — the smartFAM channel admits one in-flight request per
-/// module anyway, so this never blocks independent modules.
+/// Warm execution state, ROADMAP item 4 level (b): resident mr::Engines
+/// per requested worker count, reused across invocations.  The engine's
+/// per-worker scratch (WorkerState: emitter partitions, gather tables,
+/// attribution) then survives between requests instead of being torn
+/// down per run, so even a cache *miss* on a warm module skips the
+/// allocation/setup cost.  An engine serves one run at a time, so the
+/// daemon's concurrent batch workers each lease their own: an idle one
+/// when there is one, a new one otherwise.  The pool grows to the peak
+/// number of concurrent runs per worker count and no further.
 template <typename Spec>
-struct WarmEngines {
-  std::mutex mutex;
-  std::map<std::size_t, std::unique_ptr<mr::Engine<Spec>>> by_workers;
+class WarmEngines {
+ public:
+  using EnginePtr = std::unique_ptr<mr::Engine<Spec>>;
 
-  /// Caller holds `mutex` for the whole run.
-  mr::Engine<Spec>& acquire(std::size_t workers) {
-    auto& slot = by_workers[workers];
-    if (!slot) {
-      mr::Options opts;
-      opts.num_workers = workers;
-      slot = std::make_unique<mr::Engine<Spec>>(opts);
+  /// Exclusive use of one engine for one run; returns it to the idle
+  /// list when destroyed.
+  class Lease {
+   public:
+    Lease(WarmEngines& owner, std::size_t workers, EnginePtr engine)
+        : owner_(owner), workers_(workers), engine_(std::move(engine)) {}
+    ~Lease() {
+      std::lock_guard lock{owner_.mutex_};
+      owner_.idle_[workers_].push_back(std::move(engine_));
     }
-    return *slot;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    mr::Engine<Spec>& operator*() const { return *engine_; }
+
+   private:
+    WarmEngines& owner_;
+    std::size_t workers_;
+    EnginePtr engine_;
+  };
+
+  Lease acquire(std::size_t workers) {
+    {
+      std::lock_guard lock{mutex_};
+      auto& idle = idle_[workers];
+      if (!idle.empty()) {
+        EnginePtr engine = std::move(idle.back());
+        idle.pop_back();
+        return Lease{*this, workers, std::move(engine)};
+      }
+    }
+    mr::Options opts;
+    opts.num_workers = workers;
+    return Lease{*this, workers, std::make_unique<mr::Engine<Spec>>(opts)};
   }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::size_t, std::vector<EnginePtr>> idle_;
 };
 
 /// Cache contract shared by the pure file-scan modules (wordcount,
@@ -89,9 +120,9 @@ std::shared_ptr<fam::Module> make_wordcount_module(
         const auto input = params.get("input");
         if (!input) return Error{ErrorCode::kInvalidArgument, "missing input"};
 
-        std::lock_guard warm_lock{warm->mutex};
-        mr::Engine<WordCountSpec>& engine =
+        const auto lease =
             warm->acquire(request_workers(params, default_workers));
+        mr::Engine<WordCountSpec>& engine = *lease;
         // Stream fragments off the file with prefetch + incremental merge
         // (pipeline=false reverts to the serial read-then-run baseline).
         part::PipelineOptions popts;
@@ -157,9 +188,9 @@ std::shared_ptr<fam::Module> make_stringmatch_module(
         if (spec.keys.empty()) {
           return Error{ErrorCode::kInvalidArgument, "empty key list"};
         }
-        std::lock_guard warm_lock{warm->mutex};
-        mr::Engine<StringMatchSpec>& engine =
+        const auto lease =
             warm->acquire(request_workers(params, default_workers));
+        mr::Engine<StringMatchSpec>& engine = *lease;
         // Line-delimited streaming: fragments never cut a line, and the
         // driver rebases chunk offsets so matches carry absolute offsets.
         part::PipelineOptions popts;

@@ -11,6 +11,7 @@
 #include "core/io.hpp"
 #include "core/random.hpp"
 #include "core/stopwatch.hpp"
+#include "fam/inotify_watcher.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
@@ -19,6 +20,8 @@ namespace mcsd::fam {
 namespace fs = std::filesystem;
 
 Client::Client(ClientOptions options) : options_(std::move(options)) {}
+
+Client::~Client() = default;
 
 bool Client::module_available(std::string_view module) const {
   return fs::exists(options_.log_dir / log_file_name(module));
@@ -217,9 +220,9 @@ std::uint64_t next_client_id() {
          (counter.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
-/// Cheap change detector for the reply file.  The daemon replaces it via
-/// write-temp-then-rename, so every reply lands on a fresh inode — one
-/// ::stat per poll tells us whether there is anything new to decode.
+/// Cheap change detector for the reply file.  The daemon appends every
+/// reply as a new frame, so each reply grows the file — one ::stat per
+/// wakeup tells us whether there is anything new to decode.
 /// Without this gate, N waiting slots each open+read+decode the reply
 /// file every poll interval; at hundreds of concurrent clients that
 /// read storm saturates the filesystem and the daemon's reply *writes*
@@ -269,21 +272,23 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
   {
     std::lock_guard lock{mutex_};
     invocations_.fetch_add(1, std::memory_order_relaxed);
+    if (!reply_watch_opened_) watch_replies_locked();
     if (!free_slots_.empty()) {
       slot = std::move(free_slots_.back());
       free_slots_.pop_back();
+    } else {
+      slot = std::make_unique<Slot>();
+      slot->client_id = next_client_id();
+      slot->reply_name = reply_file_name(slot->client_id);
     }
-  }
-  if (!slot) {
-    slot = std::make_unique<Slot>();
-    slot->client_id = next_client_id();
+    waiting_.emplace(slot->reply_name, slot.get());
   }
 
   const fs::path shard =
       options_.log_dir / kShardDirName /
       shard_file_name(shard_for_client(slot->client_id, shards));
-  const fs::path reply_file = options_.log_dir / kReplyDirName /
-                              reply_file_name(slot->client_id);
+  const fs::path reply_file =
+      options_.log_dir / kReplyDirName / slot->reply_name;
   const auto deadline_ms =
       static_cast<std::uint64_t>(options_.timeout.count());
 
@@ -298,6 +303,7 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
   Error last_error{ErrorCode::kInternal, "unreachable"};
   auto release_slot = [this, &slot] {
     std::lock_guard lock{mutex_};
+    waiting_.erase(slot->reply_name);
     free_slots_.push_back(std::move(slot));
   };
 
@@ -417,12 +423,56 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
         ++attempt;
         next_attempt = true;
       } else {
-        std::this_thread::sleep_for(options_.poll_interval);
+        await_reply(*slot);
       }
     }
   }
   release_slot();
   return last_error;
+}
+
+void Client::watch_replies_locked() {
+  // The daemon creates the reply directory before it advertises the
+  // manifest, so it normally exists by the first sharded invoke.  If not,
+  // stay on the timer and try again next invoke.
+  const fs::path dir = options_.log_dir / kReplyDirName;
+  std::error_code ec;
+  if (!fs::is_directory(dir, ec)) return;
+  reply_watch_opened_ = true;
+  auto watcher = InotifyWatcher::create(
+      dir, [this](const fs::path& path) { on_reply_event(path); });
+  // Without inotify (no kernel support, out of instances) every reply is
+  // found by the poll_interval timer, as it is over NFS.
+  if (!watcher) return;
+  reply_watcher_ = std::move(watcher).value();
+  reply_watcher_->start();
+}
+
+void Client::on_reply_event(const fs::path& path) {
+  // mutex_ keeps the slot registered (and so awaited) while it is woken.
+  std::lock_guard lock{mutex_};
+  const auto found = waiting_.find(path.filename().native());
+  if (found == waiting_.end()) return;
+  Slot& slot = *found->second;
+  {
+    std::lock_guard wake_lock{slot.wake_mutex};
+    slot.woken = true;
+  }
+  slot.wake_cv.notify_one();
+}
+
+void Client::await_reply(Slot& slot) {
+  // The flag is cleared only after a wait, and the reply file is checked
+  // after each wait, so an event that fires between that check and this
+  // wait is not lost: it ends the wait at once.
+  std::unique_lock lock{slot.wake_mutex};
+  if (slot.wake_cv.wait_for(lock, options_.poll_interval,
+                            [&slot] { return slot.woken; })) {
+    MCSD_OBS_COUNT("fam.client.reply_wakeups(cause=event)", 1);
+  } else {
+    MCSD_OBS_COUNT("fam.client.reply_wakeups(cause=timer)", 1);
+  }
+  slot.woken = false;
 }
 
 }  // namespace mcsd::fam

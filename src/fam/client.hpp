@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -25,9 +26,13 @@
 
 namespace mcsd::fam {
 
+class InotifyWatcher;
+
 struct ClientOptions {
   std::filesystem::path log_dir;
   /// How often the host-side watcher re-reads the log file while waiting.
+  /// On the sharded channel an inotify event on the reply file wakes the
+  /// waiter first; this interval is the ceiling when no event arrives.
   std::chrono::milliseconds poll_interval{1};
   /// Give up on one attempt after this long without a response.
   std::chrono::milliseconds timeout{10'000};
@@ -78,6 +83,7 @@ struct InvokeInfo {
 class Client {
  public:
   explicit Client(ClientOptions options);
+  ~Client();
 
   /// Offloads one invocation: writes the request, blocks until the
   /// response arrives (or timeout).  Returns the module's result map, or
@@ -109,10 +115,15 @@ class Client {
   /// reused across invokes; each holds at most one request in flight.
   struct Slot {
     std::uint64_t client_id = 0;
+    std::string reply_name;  ///< reply_file_name(client_id)
     std::uint64_t next_seq = 1;
     /// Byte cursor into the append-only reply log: replies already
     /// decoded are never re-read.
     std::uint64_t reply_offset = 0;
+    /// Set by the reply watcher when the slot's reply file changes.
+    std::mutex wake_mutex;
+    std::condition_variable wake_cv;
+    bool woken = false;
   };
 
   /// Reads the current record's seq (0 when the file is empty/comment).
@@ -128,8 +139,18 @@ class Client {
                                      const KeyValueMap& params,
                                      InvokeInfo* info, std::size_t shards);
 
+  /// Opens the reply watcher once the reply directory exists.  Caller
+  /// holds mutex_.
+  void watch_replies_locked();
+  /// Reply-watcher callback: wakes the slot waiting on `path`, if any.
+  void on_reply_event(const std::filesystem::path& path);
+  /// Blocks until the slot's reply file changes or poll_interval passes.
+  void await_reply(Slot& slot);
+
   ClientOptions options_;
-  std::mutex mutex_;  ///< guards per_module_, channel state, free_slots_
+  /// Guards per_module_, channel state, free_slots_, waiting_ and
+  /// reply_watch_opened_.
+  std::mutex mutex_;
   struct PerModule {
     std::mutex in_flight;
     std::uint64_t next_seq = 0;  ///< 0 = not yet initialised from the file
@@ -138,7 +159,14 @@ class Client {
   Channel channel_ = Channel::kUnknown;
   std::size_t shard_count_ = 0;
   std::vector<std::unique_ptr<Slot>> free_slots_;
+  /// Slots awaiting a reply, by reply-file name.
+  std::map<std::string, Slot*, std::less<>> waiting_;
+  bool reply_watch_opened_ = false;
   std::atomic<std::uint64_t> invocations_{0};
+  /// inotify on the reply directory; null until the first sharded invoke,
+  /// or for good when inotify is unavailable.  Declared last so it stops
+  /// before the state its callback touches is destroyed.
+  std::unique_ptr<InotifyWatcher> reply_watcher_;
 };
 
 }  // namespace mcsd::fam

@@ -1,5 +1,7 @@
 #include "fam/daemon.hpp"
 
+#include <utility>
+
 #include "core/io.hpp"
 #include "core/log.hpp"
 #include "core/stopwatch.hpp"
@@ -118,6 +120,20 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
       MCSD_LOG(kWarn, "fam.daemon")
           << "cannot write channel manifest: " << s.to_string();
     }
+    // Event-driven drain: a client's append fires an inotify event that
+    // wakes the drainer at once.  Without inotify (or over NFS, where
+    // remote appends fire nothing) the drain_interval timer carries it.
+    auto shard_watcher = InotifyWatcher::create(
+        options_.log_dir / kShardDirName,
+        [this](const fs::path&) { kick_drainer(); });
+    if (shard_watcher.is_ok()) {
+      shard_watcher_ = std::move(shard_watcher).value();
+    } else {
+      MCSD_LOG(kInfo, "fam.daemon")
+          << "shard watcher unavailable ("
+          << shard_watcher.error().to_string() << "); draining every "
+          << options_.drain_interval.count() << " ms";
+    }
   }
   const auto callback = [this](const fs::path& path) {
     on_file_change(path);
@@ -167,7 +183,7 @@ void Daemon::start() {
   }
   if (admission_) {
     {
-      std::lock_guard stop_lock{drain_stop_mutex_};
+      std::lock_guard drain_lock{drain_mutex_};
       drain_stop_ = false;
     }
     for (std::size_t i = 0;
@@ -175,6 +191,7 @@ void Daemon::start() {
       batch_workers_.emplace_back([this] { batch_loop(); });
     }
     drainer_ = std::thread{[this] { drain_loop(); }};
+    if (shard_watcher_) shard_watcher_->start();
   }
   watcher_->start();
 }
@@ -189,11 +206,12 @@ void Daemon::stop() {
     // closes the admission queue so the batch workers drain what was
     // accepted and exit — same "stop() discards nothing" contract as
     // the rev-1 queue below.
+    if (shard_watcher_) shard_watcher_->stop();
     {
-      std::lock_guard stop_lock{drain_stop_mutex_};
+      std::lock_guard drain_lock{drain_mutex_};
       drain_stop_ = true;
     }
-    drain_stop_cv_.notify_all();
+    drain_cv_.notify_all();
     if (drainer_.joinable()) drainer_.join();
     for (auto& t : batch_workers_) {
       if (t.joinable()) t.join();
@@ -426,13 +444,31 @@ std::vector<dispatch::ShardDrain> Daemon::shard_stats() const {
   return shards_;
 }
 
+void Daemon::kick_drainer() {
+  {
+    std::lock_guard drain_lock{drain_mutex_};
+    drain_kick_ = true;
+  }
+  drain_cv_.notify_one();
+}
+
 void Daemon::drain_loop() {
-  std::unique_lock stop_lock{drain_stop_mutex_, std::defer_lock};
+  std::unique_lock drain_lock{drain_mutex_, std::defer_lock};
   for (;;) {
-    stop_lock.lock();
-    const bool stopping = drain_stop_cv_.wait_for(
-        stop_lock, options_.drain_interval, [this] { return drain_stop_; });
-    stop_lock.unlock();
+    drain_lock.lock();
+    // An event wakes the drainer early; the timeout is the fallback for
+    // events that never come.  Clearing the kick before the pass is safe:
+    // an append that lands during the pass kicks again.
+    drain_cv_.wait_for(drain_lock, options_.drain_interval,
+                       [this] { return drain_stop_ || drain_kick_; });
+    const bool stopping = drain_stop_;
+    const bool kicked = std::exchange(drain_kick_, false);
+    drain_lock.unlock();
+    if (kicked) {
+      MCSD_OBS_COUNT("fam.serve.drain_wakeups(cause=event)", 1);
+    } else if (!stopping) {
+      MCSD_OBS_COUNT("fam.serve.drain_wakeups(cause=timer)", 1);
+    }
     drain_pass();
     if (stopping) break;  // the pass above was the final one
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/fault.hpp"
 #include "core/io.hpp"
 #include "obs/counters.hpp"
 
@@ -129,17 +128,6 @@ std::vector<Record> drain_shard(ShardDrain& shard) {
   std::vector<Record> requests;
   const auto size = mcsd::file_size(shard.path);
   if (!size.is_ok() || size.value() <= shard.offset) return requests;
-
-  // Growth detected: this is the sharded channel's "change event", and
-  // the same fault site the rev-1 watcher exposes.  A suppressed event
-  // skips this pass without advancing the cursor — the next pass sees
-  // the same growth, so an injected lost wakeup costs latency, never a
-  // request.
-  if (fault::check(fault::Site::kWatchEvent, shard.path.native()).kind ==
-      fault::Kind::kSuppressEvent) {
-    ++shard.suppressed;
-    return requests;
-  }
 
   auto tail = read_file_from(shard.path, shard.offset);
   if (!tail.is_ok()) return requests;  // transient; next pass retries

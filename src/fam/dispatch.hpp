@@ -133,15 +133,14 @@ struct ShardDrain {
   std::uint64_t offset = 0;        ///< bytes consumed so far
   std::uint64_t drained = 0;       ///< frames decoded off this shard
   std::uint64_t corrupt = 0;       ///< frames dropped for bad crc
-  std::uint64_t suppressed = 0;    ///< polls skipped by injected fault
 };
 
-/// Drains whatever `shard` has appended since the last pass.  Consults
-/// the kWatchEvent fault site when growth is detected (an injected
-/// suppress skips this pass without advancing the cursor, modelling a
-/// lost wakeup: latency, never loss) and the kReadFile site via the tail
-/// read itself.  Returns the newly decoded requests; the cursor advances
-/// only past complete frames, so a torn tail is retried next pass.
+/// Drains whatever `shard` has appended since the last pass.  Lost
+/// wakeups are modelled where the wakeup is delivered (the kWatchEvent
+/// site of the daemon's shard watcher), so this pass consults only the
+/// kReadFile site via the tail read itself.  Returns the newly decoded
+/// requests; the cursor advances only past complete frames, so a torn
+/// tail is retried next pass.
 std::vector<Record> drain_shard(ShardDrain& shard);
 
 /// Per-tenant QoS counters.  Plain struct snapshot for tools and tests;

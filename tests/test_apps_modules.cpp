@@ -6,6 +6,8 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "apps/datagen.hpp"
 #include "apps/stringmatch.hpp"
@@ -280,6 +282,45 @@ TEST_F(ModulesFixture, JoinModuleRejectsMissingParams) {
   KeyValueMap params;
   params.set("left", (shared / "l.csv").string());
   ASSERT_FALSE(client.invoke("join", params).is_ok());
+}
+
+TEST(WarmEngines, FourThreadWordCountInvokesAreByteIdentical) {
+  // Concurrent misses of one module each lease their own warm engine
+  // instead of queueing on one; every output must still match a solo run
+  // byte for byte, whichever engine served it.
+  TempDir dir{"warmpar"};
+  CorpusOptions corpus;
+  corpus.bytes = 64 * 1024;
+  ASSERT_TRUE(write_file(dir / "c.txt", generate_corpus(corpus)).is_ok());
+  const auto module = make_wordcount_module(2);
+  KeyValueMap params;
+  params.set("input", (dir / "c.txt").string());
+  params.set_int("partition_size", 16 * 1024);
+  params.set("full_counts", "true");
+  const auto solo = module->invoke(params);
+  ASSERT_TRUE(solo.is_ok()) << solo.error().to_string();
+  const std::string expected = solo.value().serialize();
+
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 5;
+  std::vector<std::vector<std::string>> outputs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRuns; ++i) {
+        const auto result = module->invoke(params);
+        outputs[t].push_back(result.is_ok() ? result.value().serialize()
+                                            : result.error().to_string());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(outputs[t].size(), static_cast<std::size_t>(kRuns));
+    for (const std::string& output : outputs[t]) {
+      EXPECT_EQ(output, expected) << "thread " << t;
+    }
+  }
 }
 
 TEST(MatrixIo, RoundTrip) {

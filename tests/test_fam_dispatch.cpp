@@ -2,10 +2,12 @@
 // queue semantics, shard drain cursors, QoS accounting, and the
 // end-to-end serving properties the channel promises — fair shard
 // draining, coalesced responses byte-identical to solo runs, typed
-// backpressure the client honours, and exactly-once replies under a
-// multi-threaded hammer.
+// backpressure the client honours, exactly-once replies under a
+// multi-threaded hammer, and the event-driven wakeups with their timer
+// fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -18,13 +20,16 @@
 #include <thread>
 #include <vector>
 
+#include "core/fault.hpp"
 #include "core/hash.hpp"
 #include "core/io.hpp"
 #include "core/stopwatch.hpp"
 #include "fam/client.hpp"
 #include "fam/daemon.hpp"
 #include "fam/dispatch.hpp"
+#include "fam/inotify_watcher.hpp"
 #include "fam/protocol.hpp"
+#include "obs/counters.hpp"
 
 namespace mcsd::fam {
 namespace {
@@ -628,6 +633,125 @@ TEST(ShardedServe, TenantLabelReachesQosAccounting) {
   EXPECT_EQ(qos[0].accepted, 1u);
   EXPECT_EQ(qos[0].completed, 1u);
   EXPECT_EQ(qos[0].invoke_us.count, 1u);
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
+TEST(ShardedServe, EventsWakeDrainerAndClientBeforeTheirTimers) {
+  TempDir dir{"eventpath"};
+  if (auto probe = InotifyWatcher::create(dir.path(), nullptr); !probe) {
+    GTEST_SKIP() << "inotify unavailable: " << probe.error().to_string();
+  }
+  const fs::path corpus = dir / "corpus.txt";
+  ASSERT_TRUE(write_file(corpus, "the quick brown fox\n").is_ok());
+
+  // Timers far slower than the bound below: only inotify events can wake
+  // the drainer and the waiting client in time.
+  DaemonOptions dopts{dir.path(), 1ms, 1};
+  dopts.drain_interval = 500ms;
+  Daemon daemon{dopts};
+  ASSERT_TRUE(daemon.preload(digest_module()).is_ok());
+  daemon.start();
+  ClientOptions copts;
+  copts.log_dir = dir.path();
+  copts.poll_interval = 500ms;
+  copts.timeout = 30'000ms;
+  Client client{copts};
+
+  KeyValueMap params;
+  params.set("input", corpus.string());
+  ASSERT_TRUE(client.invoke("digest", params).is_ok());  // fills the cache
+  const auto event_wakeups_before =
+      counter_value("fam.client.reply_wakeups(cause=event)");
+  std::vector<double> round_trips;
+  for (int i = 0; i < 10; ++i) {
+    InvokeInfo info;
+    const auto result = client.invoke("digest", params, &info);
+    ASSERT_TRUE(result.is_ok()) << result.error().to_string();
+    EXPECT_EQ(info.cache, CacheState::kHit);
+    round_trips.push_back(info.round_trip_seconds);
+  }
+  daemon.stop();
+
+  std::sort(round_trips.begin(), round_trips.end());
+  const double median = (round_trips[4] + round_trips[5]) / 2;
+  EXPECT_LT(median, 0.050) << "cache hits waited out the 500 ms timers";
+#if MCSD_OBS_ENABLED
+  EXPECT_GT(counter_value("fam.client.reply_wakeups(cause=event)"),
+            event_wakeups_before);
+#else
+  (void)event_wakeups_before;
+#endif
+}
+
+TEST(ShardedServe, LostWatchEventsFallBackToTimersExactlyOnce) {
+  // Every inotify event on the mailbox and reply directories is dropped,
+  // as over NFS or after a queue overflow: the drain and reply-poll
+  // timers alone must carry every request, each answered exactly once.
+  TempDir dir{"lostevents"};
+  fault::FaultScope scope{
+      fault::FaultPlan::from_spec(
+          "watch.suppress=1,path_filter=shards/|replies/")
+          .value()};
+  const auto suppressed_before = fault::Injector::instance().injected(
+      fault::Site::kWatchEvent, fault::Kind::kSuppressEvent);
+  const auto event_wakeups_before =
+      counter_value("fam.serve.drain_wakeups(cause=event)") +
+      counter_value("fam.client.reply_wakeups(cause=event)");
+
+  DaemonOptions dopts{dir.path(), 1ms, 2};
+  dopts.drain_interval = 20ms;
+  Daemon daemon{dopts};
+  ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
+  daemon.start();
+  ClientOptions copts;
+  copts.log_dir = dir.path();
+  copts.poll_interval = 20ms;
+  copts.timeout = 30'000ms;
+  Client client{copts};
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5;
+  std::vector<double> slowest(kThreads, 0.0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        KeyValueMap params;
+        params.set("who", std::to_string(t) + ":" + std::to_string(i));
+        InvokeInfo info;
+        const auto result = client.invoke("echo", params, &info);
+        ASSERT_TRUE(result.is_ok()) << result.error().to_string();
+        EXPECT_EQ(result.value().get("who"), params.get("who"));
+        slowest[t] = std::max(slowest[t], info.round_trip_seconds);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  daemon.stop();
+
+  constexpr auto kInvokes = static_cast<std::uint64_t>(kThreads * kPerThread);
+  EXPECT_EQ(daemon.requests_handled(), kInvokes);
+  EXPECT_EQ(daemon.reply_conflicts(), 0u);
+  std::uint64_t drained = 0;
+  for (const auto& shard : daemon.shard_stats()) drained += shard.drained;
+  EXPECT_EQ(drained, kInvokes);
+  // A few timer periods, not the 30 s timeout.
+  for (double seconds : slowest) EXPECT_LT(seconds, 2.0);
+  if (InotifyWatcher::create(dir.path(), nullptr)) {
+    EXPECT_GT(fault::Injector::instance().injected(
+                  fault::Site::kWatchEvent, fault::Kind::kSuppressEvent),
+              suppressed_before);
+  }
+#if MCSD_OBS_ENABLED
+  EXPECT_EQ(counter_value("fam.serve.drain_wakeups(cause=event)") +
+                counter_value("fam.client.reply_wakeups(cause=event)"),
+            event_wakeups_before);
+#else
+  (void)event_wakeups_before;
+#endif
 }
 
 }  // namespace

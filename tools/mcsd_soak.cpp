@@ -115,7 +115,6 @@ struct RunStats {
   std::uint64_t reply_conflicts = 0;
   std::uint64_t shard_frames_drained = 0;
   std::uint64_t shard_frames_corrupt = 0;
-  std::uint64_t shard_polls_suppressed = 0;
   /// Client-observed typed backpressure rejections absorbed (and retried).
   std::uint64_t backpressure_retries = 0;
   /// Successful invokes that shared a coalesced module run (waiters > 1).
@@ -656,7 +655,6 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
   for (const auto& shard : daemon.shard_stats()) {
     stats.shard_frames_drained += shard.drained;
     stats.shard_frames_corrupt += shard.corrupt;
-    stats.shard_polls_suppressed += shard.suppressed;
   }
   stats.wall_seconds = wall.elapsed_seconds();
   return stats;
@@ -724,8 +722,6 @@ std::string report_json(const std::vector<RunStats>& runs,
             std::to_string(r.shard_frames_drained) +
             ", \"shard_frames_corrupt\": " +
             std::to_string(r.shard_frames_corrupt) +
-            ", \"shard_polls_suppressed\": " +
-            std::to_string(r.shard_polls_suppressed) +
             ", \"backpressure_retries\": " +
             std::to_string(r.backpressure_retries) +
             ", \"coalesced_responses\": " +
