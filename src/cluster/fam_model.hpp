@@ -19,6 +19,14 @@
 //   SD:   encode + write response
 //   NFS:  attribute-cache staleness again (host side)
 //   host: client poll latency             (poll/2 mean)
+//
+// The two poll terms describe the timer fallback only: NFS mounts, lost
+// or overflowed watch events, hosts without inotify.  On a local folder
+// inotify wakes the drainer and the waiting client as soon as a frame
+// lands, so a model of that path sets sd_poll_seconds = host_poll_seconds
+// = 0 (and write_seconds to the append cost, which then dominates).  The
+// defaults keep the polled values, so the scenarios'
+// `fam_invocation_seconds` stays an upper bound for both paths.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +38,15 @@ struct FamModel {
   std::uint64_t record_bytes = 512;
   /// Encode/decode CPU per record.
   double codec_seconds = 20e-6;
-  /// Write+fsync-equivalent latency of one small file replace.
+  /// Write+fsync-equivalent latency of one small file replace.  The
+  /// sharded channel appends each frame instead (no fsync, no rename),
+  /// which costs ~20 µs on a local folder.
   double write_seconds = 200e-6;
-  /// Storage-node watcher poll interval.
+  /// Storage-node drain/poll interval when no watch event wakes it
+  /// (0 = event-driven).
   double sd_poll_seconds = 2e-3;
-  /// Host-side client poll interval.
+  /// Host-side client poll interval when no watch event wakes it
+  /// (0 = event-driven).
   double host_poll_seconds = 1e-3;
   /// Dispatch queue + thread handoff.
   double dispatch_seconds = 50e-6;

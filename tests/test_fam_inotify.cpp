@@ -88,6 +88,23 @@ TEST(InotifyWatcher, StopIsPromptAndIdempotent) {
   EXPECT_LT(elapsed, 1s);  // the wake pipe must beat the 200 ms poll cap
 }
 
+TEST(InotifyWatcher, RestartAfterStopStillDeliversEvents) {
+  // stop()'s wake byte must not outlive the thread it woke: left in the
+  // pipe, it would make the restarted thread's poll() return at once,
+  // forever, before it ever reads an event.
+  TempDir dir{"ino"};
+  std::atomic<int> events{0};
+  auto watcher = InotifyWatcher::create(
+      dir.path(), [&](const std::filesystem::path&) { events.fetch_add(1); });
+  ASSERT_TRUE(watcher.is_ok());
+  watcher.value()->start();
+  watcher.value()->stop();
+  watcher.value()->start();
+  ASSERT_TRUE(write_file(dir / "a.log", "payload").is_ok());
+  EXPECT_TRUE(eventually([&] { return events.load() >= 1; }));
+  watcher.value()->stop();
+}
+
 TEST(DaemonBackend, InotifySelectedWhenRequested) {
   TempDir dir{"ino"};
   Daemon daemon{DaemonOptions{dir.path(), 1ms, 1, WatcherBackend::kInotify}};
