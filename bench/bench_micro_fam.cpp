@@ -45,7 +45,7 @@ BENCHMARK(BM_ProtocolDecode);
 
 void BM_FamRoundTrip(benchmark::State& state) {
   TempDir dir{"fambench"};
-  fam::Daemon daemon{fam::DaemonOptions{dir.path(), 1ms, 1}};
+  fam::Daemon daemon{fam::DaemonOptions{dir.path(), 1}};
   (void)daemon.preload(std::make_shared<fam::FunctionModule>(
       "noop", [](const KeyValueMap& p) -> Result<KeyValueMap> { return p; }));
   daemon.start();

@@ -22,7 +22,7 @@ namespace {
 
 struct StorageNode {
   StorageNode(const char* tag, std::size_t cores)
-      : dir(tag), daemon(fam::DaemonOptions{dir.path(), 2ms, cores}) {
+      : dir(tag), daemon(fam::DaemonOptions{dir.path(), cores}) {
     const Status s = apps::preload_standard_modules(
         [this](auto m) { return daemon.preload(std::move(m)); }, cores);
     if (!s) std::fprintf(stderr, "preload: %s\n", s.to_string().c_str());

@@ -6,11 +6,13 @@
 // half on another machine with the folder NFS-mounted and nothing
 // changes.
 //
-//   host                     shared log folder             McSD node
-//   ----                     -----------------             ---------
-//   client.invoke()  ──►  wordcount.log (request)  ──►  watcher + daemon
-//                                                         module runs
-//   result returned  ◄──  wordcount.log (response) ◄──  MapReduce engine
+//   host                 shared log folder                  McSD node
+//   ----                 -----------------                  ---------
+//                        wordcount.log (module preloaded)
+//   client.invoke()  ──► shards/shard-<k>.log (request)  ──► inotify wakes
+//                                                            the daemon,
+//                                                            module runs
+//   result returned  ◄── replies/client-<id>.log (reply) ◄── MapReduce engine
 //
 // Build & run:  ./build/examples/offload_wordcount
 //
@@ -91,7 +93,7 @@ int main(int argc, char** argv) {
   std::printf("shared log folder: %s\n\n", shared.path().c_str());
 
   // --- storage-node side: preload the module, start the daemon --------
-  fam::Daemon daemon{fam::DaemonOptions{shared.path(), 2ms, 1}};
+  fam::Daemon daemon{fam::DaemonOptions{shared.path(), 1}};
   if (auto s = daemon.preload(wordcount_module()); !s) {
     std::fprintf(stderr, "preload failed: %s\n", s.to_string().c_str());
     return 1;
@@ -115,7 +117,7 @@ int main(int argc, char** argv) {
   KeyValueMap params;
   params.set("input", data_path.string());
   params.set_int("partition_size", 1 << 20);  // 1 MiB fragments
-  std::puts("[host] invoking wordcount via the log-file channel ...");
+  std::puts("[host] invoking wordcount via the smartFAM channel ...");
   const auto result = client.invoke("wordcount", params);
   if (!result.is_ok()) {
     std::fprintf(stderr, "invoke failed: %s\n",

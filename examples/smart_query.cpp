@@ -65,7 +65,7 @@ int main() {
   TempDir shared{"smart-query"};
   make_tables(shared.path());
 
-  fam::Daemon daemon{fam::DaemonOptions{shared.path(), 2ms, 1}};
+  fam::Daemon daemon{fam::DaemonOptions{shared.path(), 1}};
   if (Status s = apps::preload_standard_modules(
           [&daemon](auto m) { return daemon.preload(std::move(m)); }, 2);
       !s) {

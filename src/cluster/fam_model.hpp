@@ -11,10 +11,10 @@
 //   NFS:  attribute-cache staleness       (0 on local FS; acregmin-bounded
 //                                          on a real NFS mount — inotify
 //                                          cannot see remote writes, and a
-//                                          polling watcher only observes a
+//                                          polled drain only observes a
 //                                          change after the client-side
 //                                          attribute cache revalidates)
-//   SD:   watcher poll latency            (uniform 0..poll ⇒ poll/2 mean)
+//   SD:   drain poll latency              (uniform 0..poll ⇒ poll/2 mean)
 //   SD:   decode + dispatch queue + module runtime
 //   SD:   encode + write response
 //   NFS:  attribute-cache staleness again (host side)

@@ -1,8 +1,8 @@
 // Deterministic fault injection at the core/io boundary.
 //
-// The smartFAM channel is a single-record log file on a shared folder —
-// exactly the medium where torn writes, transient EIO, lost watcher
-// events, and ENOSPC silently violate the invoke→dispatch→result
+// The smartFAM channel is a set of append-only log files on a shared
+// folder — exactly the medium where torn writes, transient EIO, lost
+// watcher events, and ENOSPC silently violate the invoke→dispatch→result
 // contract.  Rather than waiting for NFS to produce those faults, this
 // layer injects them on purpose, scheduled deterministically from a
 // seed, so the soak harness (tools/mcsd_soak) and the unit tests can

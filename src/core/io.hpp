@@ -1,11 +1,12 @@
 // Filesystem helpers: whole-file read/write, atomic replace, scoped temp
 // directories.
 //
-// The FAM log-file channel depends on two properties these helpers
-// provide: (1) `write_file_atomic` makes a log-record update appear all at
-// once (write to a sibling temp file, fsync-less rename), so the watcher
-// never observes a torn record; (2) `TempDir` gives each test / example an
-// isolated stand-in for the NFS-shared log folder.
+// The FAM log-file channel depends on these helpers: `append_file` adds
+// a CRC-framed record to a mailbox or reply log (a torn append fails its
+// crc and is skipped), `read_file_from` reads only what a log grew by,
+// `write_file_atomic` replaces small files such as the channel manifest
+// all at once (sibling temp file, fsync-less rename), and `TempDir` gives
+// each test / example an isolated stand-in for the NFS-shared log folder.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,8 @@ Status append_file(const std::filesystem::path& path, std::string_view contents)
 /// never a prefix.
 ///
 /// Contract: the staging file is named `<filename>.tmp.<n>` — directory
-/// watchers (fam::FileWatcher, fam::InotifyWatcher) rely on the ".tmp."
-/// infix to ignore in-flight updates.
+/// watchers (fam::InotifyWatcher) rely on the ".tmp." infix to ignore
+/// in-flight updates.
 Status write_file_atomic(const std::filesystem::path& path,
                          std::string_view contents);
 

@@ -27,192 +27,26 @@ bool Client::module_available(std::string_view module) const {
   return fs::exists(options_.log_dir / log_file_name(module));
 }
 
-std::uint64_t Client::current_seq(const fs::path& log) const {
-  // A failed or undecodable read here is usually transient — a torn read
-  // racing write_file_atomic's rename, or an NFS hiccup.  Falling back to
-  // 0 on a *populated* log would restart the seq sequence, and the
-  // daemon's dedup gate would then silently drop every request until the
-  // counter climbed back past its high-water mark.  Retry briefly first.
-  constexpr int kSeqReadAttempts = 5;
-  for (int attempt = 0; attempt < kSeqReadAttempts; ++attempt) {
-    if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds{1});
-    auto contents = read_file(log);
-    if (!contents) continue;
-    if (contents.value().rfind("# mcsd", 0) == 0) {
-      return 0;  // pristine comment-only header: seq genuinely starts at 0
-    }
-    auto record = decode_record(contents.value());
-    if (!record) continue;  // torn write; next read sees a whole record
-    return record.value().seq;
-  }
-  return 0;
-}
-
-Client::Channel Client::resolve_channel(std::size_t& shards) {
+std::size_t Client::shard_count(bool reread) {
   std::lock_guard lock{mutex_};
-  if (options_.force_legacy) return Channel::kLegacy;
-  if (channel_ == Channel::kUnknown) {
-    // Probe the daemon's channel advertisement.  An absent or unreadable
-    // manifest leaves the mode undecided — this invoke travels rev-1
-    // (the daemon, if any, serves it) and the next invoke re-probes, so
-    // a client constructed before its daemon still upgrades.  Only a
-    // manifest that *reads cleanly* is conclusive.
+  if (reread || shard_count_ == 0) {
+    // Only a manifest that reads cleanly replaces the cached count: a
+    // torn or failed read must not strand slots on a guessed shard.
     if (auto contents = read_file(options_.log_dir / kManifestFileName)) {
       if (auto manifest = decode_manifest(contents.value())) {
-        channel_ = Channel::kSharded;
         shard_count_ = manifest.value().shards;
       }
     }
   }
-  shards = shard_count_;
-  return channel_;
-}
-
-Result<KeyValueMap> Client::invoke(std::string_view module,
-                                   const KeyValueMap& params,
-                                   InvokeInfo* info) {
-  MCSD_OBS_SPAN("fam", "fam.invoke:" + std::string{module});
-  MCSD_OBS_COUNT("fam.client_invokes", 1);
-  if (!valid_module_name(module)) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "invalid module name: " + std::string{module}};
-  }
-  std::size_t shards = 0;
-  if (resolve_channel(shards) == Channel::kSharded) {
-    return invoke_sharded(module, params, info, shards);
-  }
-  return invoke_legacy(module, params, info);
-}
-
-Result<KeyValueMap> Client::invoke_legacy(std::string_view module,
-                                          const KeyValueMap& params,
-                                          InvokeInfo* info) {
-  const fs::path log = options_.log_dir / log_file_name(module);
-  if (!fs::exists(log)) {
-    return Error{ErrorCode::kNotFound,
-                 "module not preloaded (no log file): " + std::string{module}};
-  }
-
-  PerModule* state = nullptr;
-  {
-    std::lock_guard lock{mutex_};
-    auto& slot = per_module_[std::string{module}];
-    if (!slot) slot = std::make_unique<PerModule>();
-    state = slot.get();
-    invocations_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Serialise outstanding requests per module: the log file is a
-  // single-record channel.
-  std::lock_guard in_flight{state->in_flight};
-  if (state->next_seq == 0) {
-    state->next_seq = current_seq(log) + 1;
-  }
-
-  const int attempts = options_.max_attempts < 1 ? 1 : options_.max_attempts;
-  Error last_error{ErrorCode::kInternal, "unreachable"};
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      MCSD_OBS_COUNT("fam.client_retries", 1);
-      // Re-seed before every retry: a timeout may mean another host (or
-      // our own lost write) advanced the log past our counter, and
-      // re-sending a stale seq would only bounce off the daemon's dedup
-      // gate again.  max() keeps the counter monotonic even if the file
-      // currently shows an older record (or reads as torn -> 0).
-      state->next_seq = std::max(state->next_seq, current_seq(log) + 1);
-    }
-    const std::uint64_t seq = state->next_seq++;
-    Stopwatch round_trip;
-
-    Record request;
-    request.type = RecordType::kRequest;
-    request.seq = seq;
-    request.module = std::string{module};
-    request.payload = params;
-    if (Status s = write_file_atomic(log, encode_record(request)); !s) {
-      // A failed request write (ENOSPC, transient EIO) consumes an
-      // attempt rather than failing the invoke: the channel may recover.
-      last_error = Error{s.error().code(),
-                         "cannot write request: " + s.to_string()};
-      continue;
-    }
-
-    // Await the matching response (inotify-equivalent: poll the file).
-    Stopwatch waited;
-    bool next_attempt = false;
-    while (!next_attempt) {
-      if (auto contents = read_file(log)) {
-        if (auto record = decode_record(contents.value())) {
-          const Record& r = record.value();
-          if (r.type == RecordType::kResponse && r.seq == seq &&
-              r.module == module) {
-            if (!r.ok && r.last_seq > seq) {
-              // Stale-seq reply: the daemon has already handled a higher
-              // seq (another host owns the log right now).  Jump past its
-              // high-water mark and retry instead of surfacing an error.
-              MCSD_OBS_COUNT("fam.client_stale_replies", 1);
-              state->next_seq = std::max(state->next_seq, r.last_seq + 1);
-              last_error =
-                  Error{ErrorCode::kUnavailable,
-                        "request lost seq race: " + r.error_message};
-              next_attempt = true;
-              continue;
-            }
-            // Round trip = request write .. response observed, the
-            // paper's invoke->dispatch->result latency as the host sees
-            // it (includes daemon poll + module run).
-            const double rt_seconds = round_trip.elapsed_seconds();
-            MCSD_OBS_HIST("fam.round_trip_us", "us",
-                          static_cast<std::uint64_t>(rt_seconds * 1e6));
-            if (info) {
-              info->cache = r.cache;
-              info->cache_epoch = r.cache_epoch;
-              info->round_trip_seconds = rt_seconds;
-            }
-            if (!r.ok) {
-              MCSD_OBS_COUNT("fam.client_module_errors", 1);
-              return Error{ErrorCode::kInternal,
-                           "module error: " + r.error_message};
-            }
-            return r.payload;
-          }
-          if (r.seq > seq) {
-            // Someone raced past us (another host process); our response
-            // is unrecoverable.  Leapfrog the racer's seq and re-send.
-            state->next_seq = std::max(state->next_seq, r.seq + 1);
-            last_error =
-                Error{ErrorCode::kProtocolError,
-                      "response overwritten by newer request (seq " +
-                          std::to_string(r.seq) + " > " +
-                          std::to_string(seq) + ")"};
-            next_attempt = true;
-            continue;
-          }
-        }
-      }
-      if (waited.elapsed() > options_.timeout) {
-        MCSD_OBS_COUNT("fam.client_timeouts", 1);
-        last_error = Error{
-            ErrorCode::kTimeout,
-            "no response from " + std::string{module} + " within " +
-                std::to_string(options_.timeout.count()) + " ms (attempt " +
-                std::to_string(attempt + 1) + "/" + std::to_string(attempts) +
-                ")"};
-        next_attempt = true;
-      } else {
-        std::this_thread::sleep_for(options_.poll_interval);
-      }
-    }
-  }
-  return last_error;
+  return shard_count_;
 }
 
 namespace {
 
-/// Process-unique rev-2 client id.  The pid in the high bits keeps ids
-/// from colliding across host processes sharing one log folder; the
-/// counter keeps them unique within the process.  Never 0 (0 marks a
-/// legacy record / a tombstoned waiter).
+/// Process-unique client id.  The pid in the high bits keeps ids from
+/// colliding across host processes sharing one log folder; the counter
+/// keeps them unique within the process.  Never 0 (0 marks a tombstoned
+/// waiter).
 std::uint64_t next_client_id() {
   static std::atomic<std::uint64_t> counter{0};
   const auto pid = static_cast<std::uint64_t>(::getpid());
@@ -252,22 +86,26 @@ ReplyFileStamp stat_reply(const fs::path& path) {
 
 }  // namespace
 
-Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
-                                           const KeyValueMap& params,
-                                           InvokeInfo* info,
-                                           std::size_t shards) {
-  // The hybrid daemon still materialises one rev-1 log per preloaded
-  // module, so "no log file" still means "module not preloaded" — fail
-  // fast instead of waiting out the timeout for an error reply.
-  if (!fs::exists(options_.log_dir / log_file_name(module))) {
+Result<KeyValueMap> Client::invoke(std::string_view module,
+                                   const KeyValueMap& params,
+                                   InvokeInfo* info) {
+  MCSD_OBS_SPAN("fam", "fam.invoke:" + std::string{module});
+  MCSD_OBS_COUNT("fam.client_invokes", 1);
+  if (!valid_module_name(module)) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "invalid module name: " + std::string{module}};
+  }
+  // The daemon creates one log file per preloaded module, so "no log
+  // file" means "module not preloaded" — fail fast instead of waiting out
+  // the timeout for an error reply.
+  if (!module_available(module)) {
     return Error{ErrorCode::kNotFound,
                  "module not preloaded (no log file): " + std::string{module}};
   }
 
-  // Acquire a slot: one per concurrently outstanding invoke.  Unlike the
-  // rev-1 channel there is no per-module serialisation — slots write to
-  // hashed mailboxes and await private reply files, so N threads invoke
-  // N requests in parallel.
+  // Acquire a slot: one per concurrently outstanding invoke.  Slots
+  // append to hashed mailboxes and await private reply files, so N
+  // threads invoke N requests in parallel.
   std::unique_ptr<Slot> slot;
   {
     std::lock_guard lock{mutex_};
@@ -284,9 +122,6 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
     waiting_.emplace(slot->reply_name, slot.get());
   }
 
-  const fs::path shard =
-      options_.log_dir / kShardDirName /
-      shard_file_name(shard_for_client(slot->client_id, shards));
   const fs::path reply_file =
       options_.log_dir / kReplyDirName / slot->reply_name;
   const auto deadline_ms =
@@ -307,7 +142,35 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
     free_slots_.push_back(std::move(slot));
   };
 
+  auto attempt_label = [attempts](int attempt) {
+    return "(attempt " + std::to_string(attempt + 1) + "/" +
+           std::to_string(attempts) + ")";
+  };
+
+  std::size_t shards = shard_count(/*reread=*/false);
   for (int attempt = 0; attempt < attempts;) {
+    // No manifest yet (the daemon is still booting): keep probing for one
+    // until this attempt's timeout.
+    Stopwatch probing;
+    while (shards == 0 && probing.elapsed() <= options_.timeout) {
+      std::this_thread::sleep_for(options_.poll_interval);
+      shards = shard_count(/*reread=*/true);
+    }
+    if (shards == 0) {
+      MCSD_OBS_COUNT("fam.client_timeouts", 1);
+      last_error = Error{
+          ErrorCode::kTimeout,
+          "no channel manifest " +
+              (options_.log_dir / kManifestFileName).string() + " within " +
+              std::to_string(options_.timeout.count()) + " ms " +
+              attempt_label(attempt)};
+      ++attempt;
+      continue;
+    }
+    const fs::path shard =
+        options_.log_dir / kShardDirName /
+        shard_file_name(shard_for_client(slot->client_id, shards));
+
     const std::uint64_t seq = slot->next_seq++;
     Record request;
     request.type = RecordType::kRequest;
@@ -401,7 +264,6 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
           info->round_trip_seconds = rt_seconds;
           info->waiters = r.waiters;
           info->backpressure_retries = backpressure_used;
-          info->sharded = true;
         }
         if (!r.ok) {
           MCSD_OBS_COUNT("fam.client_module_errors", 1);
@@ -414,14 +276,16 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
       }
       if (waited.elapsed() > options_.timeout) {
         MCSD_OBS_COUNT("fam.client_timeouts", 1);
-        last_error = Error{
-            ErrorCode::kTimeout,
-            "no response from " + std::string{module} + " within " +
-                std::to_string(options_.timeout.count()) + " ms (attempt " +
-                std::to_string(attempt + 1) + "/" + std::to_string(attempts) +
-                ", sharded)"};
+        last_error = Error{ErrorCode::kTimeout,
+                           "no response from " + std::string{module} +
+                               " within " +
+                               std::to_string(options_.timeout.count()) +
+                               " ms " + attempt_label(attempt)};
         ++attempt;
         next_attempt = true;
+        // A daemon restarted with fewer shards no longer drains this
+        // slot's mailbox: the next attempt goes where the manifest says.
+        shards = shard_count(/*reread=*/true);
       } else {
         await_reply(*slot);
       }
@@ -433,7 +297,7 @@ Result<KeyValueMap> Client::invoke_sharded(std::string_view module,
 
 void Client::watch_replies_locked() {
   // The daemon creates the reply directory before it advertises the
-  // manifest, so it normally exists by the first sharded invoke.  If not,
+  // manifest, so it normally exists by the first invoke.  If not,
   // stay on the timer and try again next invoke.
   const fs::path dir = options_.log_dir / kReplyDirName;
   std::error_code ec;

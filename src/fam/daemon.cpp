@@ -18,14 +18,6 @@ Result<DaemonOptions> daemon_options_from_config(const KeyValueMap& config) {
   for (const auto& [key, value] : config.entries()) {
     if (key == "log_dir") {
       options.log_dir = value;
-    } else if (key == "poll_interval_ms") {
-      auto ms = config.get_int(key);
-      if (!ms) return ms.error();
-      if (ms.value() < 1) {
-        return Error{ErrorCode::kInvalidArgument,
-                     "poll_interval_ms must be >= 1"};
-      }
-      options.poll_interval = std::chrono::milliseconds{ms.value()};
     } else if (key == "dispatch_threads") {
       auto threads = config.get_int(key);
       if (!threads) return threads.error();
@@ -48,9 +40,9 @@ Result<DaemonOptions> daemon_options_from_config(const KeyValueMap& config) {
     } else if (key == "channel_shards") {
       auto shards = config.get_int(key);
       if (!shards) return shards.error();
-      if (shards.value() < 0) {
+      if (shards.value() < 1) {
         return Error{ErrorCode::kInvalidArgument,
-                     "channel_shards must be >= 0"};
+                     "channel_shards must be >= 1"};
       }
       options.channel_shards = static_cast<std::size_t>(shards.value());
     } else if (key == "admission_queue_limit") {
@@ -70,15 +62,6 @@ Result<DaemonOptions> daemon_options_from_config(const KeyValueMap& config) {
                      "drain_interval_ms must be >= 1"};
       }
       options.drain_interval = std::chrono::milliseconds{ms.value()};
-    } else if (key == "backend") {
-      if (value == "polling") {
-        options.backend = WatcherBackend::kPolling;
-      } else if (value == "inotify") {
-        options.backend = WatcherBackend::kInotify;
-      } else {
-        return Error{ErrorCode::kInvalidArgument,
-                     "backend must be polling or inotify, got: " + value};
-      }
     } else {
       return Error{ErrorCode::kInvalidArgument,
                    "unknown daemon config key: " + key};
@@ -95,63 +78,45 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
     result_cache_ = std::make_unique<cache::ResultCache>(
         cache::CacheOptions{options_.result_cache_bytes});
   }
-  fs::create_directories(options_.log_dir);
-  if (options_.channel_shards != 0) {
-    // The rev-2 sharded mailbox channel (DESIGN.md §13).  Mailboxes and
-    // reply files live in subdirectories so the non-recursive rev-1
-    // watchers never fingerprint the growing shard files or the per-
-    // client reply fleet.
-    fs::create_directories(options_.log_dir / kShardDirName);
-    fs::create_directories(options_.log_dir / kReplyDirName);
-    admission_ = std::make_unique<dispatch::AdmissionQueue>(
-        options_.admission_queue_limit);
-    shards_.resize(options_.channel_shards);
-    for (std::size_t k = 0; k < options_.channel_shards; ++k) {
-      shards_[k].path =
-          options_.log_dir / kShardDirName / shard_file_name(k);
-    }
-    ChannelManifest manifest;
-    manifest.shards = options_.channel_shards;
-    if (Status s = write_file_atomic(options_.log_dir / kManifestFileName,
-                                     encode_manifest(manifest));
-        !s) {
-      // Clients that cannot discover the manifest fall back to the
-      // rev-1 channel, which this daemon keeps serving regardless.
-      MCSD_LOG(kWarn, "fam.daemon")
-          << "cannot write channel manifest: " << s.to_string();
-    }
-    // Event-driven drain: a client's append fires an inotify event that
-    // wakes the drainer at once.  Without inotify (or over NFS, where
-    // remote appends fire nothing) the drain_interval timer carries it.
-    auto shard_watcher = InotifyWatcher::create(
-        options_.log_dir / kShardDirName,
-        [this](const fs::path&) { kick_drainer(); });
-    if (shard_watcher.is_ok()) {
-      shard_watcher_ = std::move(shard_watcher).value();
-    } else {
-      MCSD_LOG(kInfo, "fam.daemon")
-          << "shard watcher unavailable ("
-          << shard_watcher.error().to_string() << "); draining every "
-          << options_.drain_interval.count() << " ms";
+  options_.channel_shards = std::max<std::size_t>(options_.channel_shards, 1);
+  // The sharded mailbox channel (DESIGN.md §13): request mailboxes and
+  // reply files live in subdirectories, so the folder root holds only the
+  // module log markers and the manifest.
+  fs::create_directories(options_.log_dir / kShardDirName);
+  fs::create_directories(options_.log_dir / kReplyDirName);
+  shards_.resize(options_.channel_shards);
+  for (std::size_t k = 0; k < options_.channel_shards; ++k) {
+    shards_[k].path = options_.log_dir / kShardDirName / shard_file_name(k);
+    // Start each cursor at the mailbox's current end: frames an earlier
+    // daemon on this folder left behind were answered (or given up on)
+    // back then, and replaying them would run every one again.
+    if (auto size = mcsd::file_size(shards_[k].path)) {
+      shards_[k].offset = size.value();
     }
   }
-  const auto callback = [this](const fs::path& path) {
-    on_file_change(path);
-  };
-  if (options_.backend == WatcherBackend::kInotify) {
-    auto inotify = InotifyWatcher::create(options_.log_dir, callback);
-    if (inotify.is_ok()) {
-      watcher_ = std::move(inotify).value();
-      active_backend_ = WatcherBackend::kInotify;
-      return;
-    }
+  ChannelManifest manifest;
+  manifest.shards = options_.channel_shards;
+  if (Status s = write_file_atomic(options_.log_dir / kManifestFileName,
+                                   encode_manifest(manifest));
+      !s) {
+    // Clients keep probing for the manifest until their timeout, so a
+    // later successful restart still reaches them.
     MCSD_LOG(kWarn, "fam.daemon")
-        << "inotify unavailable (" << inotify.error().to_string()
-        << "); falling back to polling";
+        << "cannot write channel manifest: " << s.to_string();
   }
-  watcher_ = std::make_unique<FileWatcher>(options_.log_dir,
-                                           options_.poll_interval, callback);
-  active_backend_ = WatcherBackend::kPolling;
+  // Event-driven drain: a client's append fires an inotify event that
+  // wakes the drainer at once.  Without inotify (or over NFS, where
+  // remote appends fire nothing) the drain_interval timer carries it.
+  auto shard_watcher = InotifyWatcher::create(
+      options_.log_dir / kShardDirName,
+      [this](const fs::path&) { kick_drainer(); });
+  if (shard_watcher.is_ok()) {
+    shard_watcher_ = std::move(shard_watcher).value();
+  } else {
+    MCSD_LOG(kInfo, "fam.daemon")
+        << "shard watcher unavailable (" << shard_watcher.error().to_string()
+        << "); draining every " << options_.drain_interval.count() << " ms";
+  }
 }
 
 Daemon::~Daemon() { stop(); }
@@ -177,107 +142,40 @@ void Daemon::start() {
   std::lock_guard lock{lifecycle_mutex_};
   if (started_) return;
   started_ = true;
-  for (std::size_t i = 0; i < std::max<std::size_t>(options_.dispatch_threads, 1);
-       ++i) {
-    dispatchers_.emplace_back([this] { dispatch_loop(); });
+  // A fresh queue per run: stop() closes the previous one for good.
+  admission_ = std::make_unique<dispatch::AdmissionQueue>(
+      options_.admission_queue_limit);
+  {
+    std::lock_guard drain_lock{drain_mutex_};
+    drain_stop_ = false;
   }
-  if (admission_) {
-    {
-      std::lock_guard drain_lock{drain_mutex_};
-      drain_stop_ = false;
-    }
-    for (std::size_t i = 0;
-         i < std::max<std::size_t>(options_.dispatch_threads, 1); ++i) {
-      batch_workers_.emplace_back([this] { batch_loop(); });
-    }
-    drainer_ = std::thread{[this] { drain_loop(); }};
-    if (shard_watcher_) shard_watcher_->start();
+  for (std::size_t i = 0;
+       i < std::max<std::size_t>(options_.dispatch_threads, 1); ++i) {
+    batch_workers_.emplace_back([this] { batch_loop(); });
   }
-  watcher_->start();
+  drainer_ = std::thread{[this] { drain_loop(); }};
+  if (shard_watcher_) shard_watcher_->start();
 }
 
 void Daemon::stop() {
   std::lock_guard lock{lifecycle_mutex_};
   if (!started_) return;
-  watcher_->stop();
-  if (admission_) {
-    // Stop the drainer; its exit path runs one final pass over every
-    // shard, so frames appended before stop() still get admitted, then
-    // closes the admission queue so the batch workers drain what was
-    // accepted and exit — same "stop() discards nothing" contract as
-    // the rev-1 queue below.
-    if (shard_watcher_) shard_watcher_->stop();
-    {
-      std::lock_guard drain_lock{drain_mutex_};
-      drain_stop_ = true;
-    }
-    drain_cv_.notify_all();
-    if (drainer_.joinable()) drainer_.join();
-    for (auto& t : batch_workers_) {
-      if (t.joinable()) t.join();
-    }
-    batch_workers_.clear();
+  // Stop the drainer; its exit path runs one final pass over every shard,
+  // so frames appended before stop() still get admitted, then closes the
+  // admission queue so the batch workers drain what was accepted and
+  // exit — stop() discards nothing.
+  if (shard_watcher_) shard_watcher_->stop();
+  {
+    std::lock_guard drain_lock{drain_mutex_};
+    drain_stop_ = true;
   }
-  pending_.close();
-  for (auto& t : dispatchers_) {
+  drain_cv_.notify_all();
+  if (drainer_.joinable()) drainer_.join();
+  for (auto& t : batch_workers_) {
     if (t.joinable()) t.join();
   }
-  dispatchers_.clear();
+  batch_workers_.clear();
   started_ = false;
-}
-
-void Daemon::on_file_change(const fs::path& path) {
-  auto contents = read_file(path);
-  if (!contents) return;  // raced with a writer; next poll retries
-  auto record = decode_record(contents.value());
-  if (!record) {
-    // Comment-only freshly-created log files and torn writes land here.
-    return;
-  }
-  if (record.value().type != RecordType::kRequest) return;
-  // Defense in depth against staging/foreign files: the record must live
-  // in the log file its module owns.
-  if (path.filename().string() != log_file_name(record.value().module)) {
-    return;
-  }
-  enqueue_request(std::move(record).value());
-}
-
-void Daemon::enqueue_request(Record request) {
-  std::uint64_t stale_last = 0;
-  {
-    std::lock_guard lock{seq_mutex_};
-    auto& last = last_handled_seq_[request.module];
-    if (request.seq > last) {
-      last = request.seq;
-    } else if (request.seq == last) {
-      // Duplicate observation of the request currently being handled
-      // (watcher fired twice, or the conflict guard rescued a request
-      // the watcher had also seen).  Its response is already on the way.
-      return;
-    } else {
-      // The seq went backwards: another host raced past this one on the
-      // shared log.  Reply with an error carrying the high-water mark so
-      // the loser re-seeds instead of waiting out its timeout.
-      stale_last = last;
-    }
-  }
-  if (!pending_.push(Work{std::move(request), stale_last})) {
-    // stop() closed the queue; the client recovers by retrying against
-    // the restarted daemon.
-    dropped_on_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    MCSD_OBS_COUNT("fam.daemon_dropped_on_shutdown", 1);
-  }
-}
-
-void Daemon::dispatch_loop() {
-  while (auto work = pending_.pop()) {
-    if (work->stale_last_seq != 0) {
-      handle_stale(work->request, work->stale_last_seq);
-    } else {
-      handle_request(work->request);
-    }
-  }
 }
 
 Daemon::ModuleRun Daemon::run_module(const Record& request) {
@@ -352,93 +250,6 @@ Daemon::ModuleRun Daemon::run_module(const Record& request) {
   return run;
 }
 
-void Daemon::handle_request(const Record& request) {
-  MCSD_OBS_SPAN("fam", "fam.dispatch:" + request.module);
-  Stopwatch dispatch;
-
-  ModuleRun run = run_module(request);
-
-  Record response;
-  response.type = RecordType::kResponse;
-  response.seq = request.seq;
-  response.module = request.module;
-  response.ok = run.ok;
-  response.error_message = std::move(run.error_message);
-  response.payload = std::move(run.payload);
-  response.cache = run.cache;
-  response.cache_epoch = run.cache_epoch;
-
-  if (!response.ok) {
-    errors_returned_.fetch_add(1, std::memory_order_relaxed);
-    MCSD_OBS_COUNT("fam.daemon_errors", 1);
-  }
-  requests_handled_.fetch_add(1, std::memory_order_relaxed);
-  MCSD_OBS_COUNT("fam.daemon_requests", 1);
-  const auto dispatch_us =
-      static_cast<std::uint64_t>(dispatch.elapsed_seconds() * 1e6);
-  MCSD_OBS_HIST("fam.dispatch_us", "us", dispatch_us);
-  if (response.cache == CacheState::kHit) {
-    MCSD_OBS_HIST("fam.dispatch_hit_us", "us", dispatch_us);
-  } else {
-    MCSD_OBS_HIST("fam.dispatch_cold_us", "us", dispatch_us);
-  }
-
-  write_response(response);
-}
-
-void Daemon::handle_stale(const Record& request, std::uint64_t last_seq) {
-  stale_replies_.fetch_add(1, std::memory_order_relaxed);
-  MCSD_OBS_COUNT("fam.daemon_stale_replies", 1);
-  Record response;
-  response.type = RecordType::kResponse;
-  response.seq = request.seq;
-  response.module = request.module;
-  response.ok = false;
-  response.last_seq = last_seq;
-  response.error_message =
-      "stale request seq " + std::to_string(request.seq) +
-      " (daemon already handled seq " + std::to_string(last_seq) + ")";
-  write_response(response);
-}
-
-void Daemon::write_response(const Record& response) {
-  const fs::path log = options_.log_dir / log_file_name(response.module);
-  Status last_write = Status::ok();
-  for (int attempt = 0; attempt < kResponseWriteAttempts; ++attempt) {
-    // Conflict guard: the log is a single-record channel, and the host
-    // may have replaced our request with a *newer* one while the module
-    // ran.  Writing blindly would destroy that request — and a polling
-    // watcher, which samples only the latest state, would never replay
-    // it.  Lose gracefully instead: drop this response (its client
-    // retries) and put the newer request back through the dispatch gate.
-    if (auto contents = read_file(log)) {
-      if (auto current = decode_record(contents.value());
-          current.is_ok() && current.value().seq > response.seq) {
-        response_conflicts_.fetch_add(1, std::memory_order_relaxed);
-        MCSD_OBS_COUNT("fam.daemon_response_conflicts", 1);
-        if (current.value().type == RecordType::kRequest) {
-          // enqueue_request dedupes by seq, so if the watcher also saw
-          // this request the double observation cannot double-dispatch.
-          enqueue_request(std::move(current).value());
-        }
-        return;
-      }
-    }
-    // The read-check-write above is not atomic; a request landing inside
-    // that window is still clobbered.  The client-side retry covers the
-    // residual race — see DESIGN.md's fault model for why the window
-    // cannot close without giving up the single-record channel.
-    last_write = write_file_atomic(log, encode_record(response));
-    if (last_write) return;
-  }
-  MCSD_LOG(kError, "fam.daemon")
-      << "cannot write response for " << response.module << " seq "
-      << response.seq << " after " << kResponseWriteAttempts
-      << " attempts: " << last_write.to_string();
-}
-
-// --- Rev-2 sharded mailbox channel -------------------------------------
-
 std::vector<dispatch::ShardDrain> Daemon::shard_stats() const {
   std::lock_guard lock{shard_mutex_};
   return shards_;
@@ -493,10 +304,8 @@ void Daemon::drain_pass() {
   for (Record& request : drained) {
     admit(std::move(request));
   }
-  if (admission_) {
-    MCSD_OBS_GAUGE_SET("fam.serve.queue_depth",
-                       static_cast<std::int64_t>(admission_->depth()));
-  }
+  MCSD_OBS_GAUGE_SET("fam.serve.queue_depth",
+                     static_cast<std::int64_t>(admission_->depth()));
 }
 
 void Daemon::admit(Record request) {
@@ -617,8 +426,7 @@ void Daemon::handle_batch(dispatch::Batch batch) {
   }
   if (live.empty()) return;
 
-  // Same span name as the rev-1 path: a trace consumer sees one
-  // "fam.dispatch:<module>" span per module run regardless of channel.
+  // One "fam.dispatch:<module>" span per module run.
   MCSD_OBS_SPAN("fam", "fam.dispatch:" + live.front().request.module);
   Stopwatch dispatch_watch;
   // One module run fans out to every coalesced waiter; admission

@@ -138,7 +138,7 @@ std::vector<Record> drain_shard(ShardDrain& shard) {
   shard.drained += stream.records.size();
   for (Record& record : stream.records) {
     if (record.type != RecordType::kRequest) continue;
-    if (record.client_id == 0) continue;  // rev-2 frames carry a client id
+    if (record.client_id == 0) continue;  // every request names its client
     requests.push_back(std::move(record));
   }
   return requests;

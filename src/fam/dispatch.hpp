@@ -1,4 +1,4 @@
-// The daemon-side dispatch layer for the rev-2 sharded mailbox channel
+// The daemon-side dispatch layer for the sharded mailbox channel
 // (DESIGN.md §13 "Serving at scale").
 //
 // Three pieces, composed by fam::Daemon:

@@ -1,27 +1,30 @@
 // inotify-based file-alteration monitor (Linux).
 //
 // The paper's smartFAM is built on "the inotify program - a Linux kernel
-// subsystem that provides file system event notification".  This backend
-// is the faithful implementation: near-zero-latency events with no
-// polling syscall load.  Caveat: inotify only observes *local* writes —
-// over a real NFS mount the storage node never sees the host's writes.
-// So nothing may depend on an event arriving.  The rev-1 module-log
-// watcher is chosen by DaemonOptions::backend (polling by default), and
-// the rev-2 channel uses inotify only to wake its drainer and waiting
-// clients early: its drain and reply-poll timers still run underneath.
+// subsystem that provides file system event notification": near-zero-
+// latency events with no polling syscall load.  Caveat: inotify only
+// observes *local* writes — over a real NFS mount the storage node never
+// sees the host's writes.  So nothing may depend on an event arriving:
+// the channel uses inotify only to wake the daemon's drainer and the
+// waiting clients early, and their drain and reply-poll timers still run
+// underneath.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <thread>
 
 #include "core/result.hpp"
-#include "fam/watcher.hpp"
 
 namespace mcsd::fam {
 
-class InotifyWatcher final : public Watcher {
+/// Fired with the path of a created or modified watched file.
+using ChangeCallback = std::function<void(const std::filesystem::path&)>;
+
+class InotifyWatcher {
  public:
   /// Watches regular files directly inside `directory` for close-write,
   /// moved-to (atomic rename lands here) and create events.
@@ -35,14 +38,14 @@ class InotifyWatcher final : public Watcher {
   InotifyWatcher& operator=(const InotifyWatcher&) = delete;
 
   /// Starts the event thread.  Idempotent.
-  void start() override;
+  void start();
   /// Stops and joins.  Idempotent; destructor calls it.
-  void stop() override;
+  void stop();
 
   [[nodiscard]] const std::filesystem::path& directory() const noexcept {
     return directory_;
   }
-  [[nodiscard]] std::uint64_t events_fired() const noexcept override {
+  [[nodiscard]] std::uint64_t events_fired() const noexcept {
     return events_fired_.load(std::memory_order_relaxed);
   }
 

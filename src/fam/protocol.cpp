@@ -10,7 +10,6 @@ constexpr std::string_view kSeqKey = "mcsd.seq";
 constexpr std::string_view kModuleKey = "mcsd.module";
 constexpr std::string_view kStatusKey = "mcsd.status";
 constexpr std::string_view kErrorKey = "mcsd.error";
-constexpr std::string_view kLastSeqKey = "mcsd.last";
 constexpr std::string_view kCacheKey = "mcsd.cache";
 constexpr std::string_view kEpochKey = "mcsd.epoch";
 constexpr std::string_view kClientKey = "mcsd.client";
@@ -66,9 +65,6 @@ std::string encode_record(const Record& record) {
     map.set(std::string{kStatusKey}, record.ok ? "ok" : "error");
     if (!record.ok) {
       map.set(std::string{kErrorKey}, record.error_message);
-    }
-    if (record.last_seq != 0) {
-      map.set_uint(std::string{kLastSeqKey}, record.last_seq);
     }
     if (record.cache != CacheState::kNone) {
       map.set(std::string{kCacheKey},
@@ -171,11 +167,6 @@ Result<Record> decode_record(std::string_view text) {
     record.ok = *status == "ok";
     if (!record.ok) {
       record.error_message = map.get_or(kErrorKey, "");
-    }
-    if (map.get(kLastSeqKey)) {
-      auto last = map.get_uint(kLastSeqKey);
-      if (!last) return last.error();
-      record.last_seq = last.value();
     }
     if (map.get(kRetryKey)) {
       auto retry = map.get_uint(kRetryKey);

@@ -1,41 +1,38 @@
-// smartFAM log-file wire protocol.
+// smartFAM wire protocol.
 //
 // Paper Section IV-A: "The log file of each data-intensive module is an
 // efficient channel for the host node to communicate with the smart-
 // storage node. ... the host writes the input parameters to the log file
 // that is monitored and read by the data-intensive module", and results
-// travel back through the same file.
+// travel back through the same shared folder.
 //
-// A log file holds exactly one record at a time (the latest request or
-// response); records are replaced atomically (core/io.hpp) so watchers
-// never see torn writes.  Record layout is the key=value format of
-// core/config.hpp with reserved `mcsd.` keys:
+// A record is the key=value format of core/config.hpp with reserved
+// `mcsd.` keys:
 //
-//   mcsd.type   = request | response
-//   mcsd.seq    = monotonically increasing per module
-//   mcsd.module = module name
-//   mcsd.status = ok | error                (responses only)
-//   mcsd.error  = message                   (error responses only)
-//   mcsd.last   = daemon's last handled seq (stale-reply responses only)
-//   mcsd.cache  = hit | miss                (responses via the result cache)
-//   mcsd.epoch  = cache insertion epoch     (responses with mcsd.cache)
-//   mcsd.crc    = FNV-1a of the payload     (integrity across NFS)
-//   <everything else>                       = user parameters / results
-//
-// Protocol rev 2 (the sharded mailbox channel, DESIGN.md §13) adds:
-//
-//   mcsd.client   = 64-bit client id        (requests; picks shard + reply)
+//   mcsd.type     = request | response
+//   mcsd.seq      = monotonically increasing per client
+//   mcsd.module   = module name
+//   mcsd.client   = 64-bit client id        (picks shard + reply file)
 //   mcsd.tenant   = tenant label            (requests; QoS accounting)
 //   mcsd.deadline = request's latency budget in ms (0/absent = none)
+//   mcsd.status   = ok | error              (responses only)
+//   mcsd.error    = message                 (error responses only)
 //   mcsd.retry    = retry-after hint in ms  (backpressure rejections only)
 //   mcsd.waiters  = coalesced fan-out size  (responses; 1 = solo run)
+//   mcsd.cache    = hit | miss              (responses via the result cache)
+//   mcsd.epoch    = cache insertion epoch   (responses with mcsd.cache)
+//   mcsd.crc      = FNV-1a of the payload   (integrity across NFS)
+//   <everything else>                       = user parameters / results
 //
-// Rev-2 requests travel as *frames* appended to one of K shard mailboxes
-// (`shards/shard-<k>.log`); each frame is a full rev-1 record, and the
-// trailing `mcsd.crc=` line doubles as the frame delimiter.  Responses
-// land in a per-client single-record file (`replies/client-<id>.log`),
-// replaced atomically like the rev-1 module log.  The daemon advertises
-// the sharded channel through a `channel.mcsd` manifest in the log dir.
+// Records travel as *frames* in append-only logs: requests are appended
+// to one of K shard mailboxes (`shards/shard-<k>.log`), responses to the
+// requesting client's reply file (`replies/client-<id>.log`).  The
+// trailing `mcsd.crc=` line doubles as the frame delimiter, so a reader
+// decodes forward from a byte cursor and a torn append fails its crc.
+// The daemon advertises the channel (and its shard count) through a
+// `channel.mcsd` manifest in the log dir; each preloaded module's
+// `<module>.log` in the log dir is a header-only marker of what is
+// loaded.
 #pragma once
 
 #include <cstddef>
@@ -65,11 +62,6 @@ struct Record {
   std::string module;
   bool ok = true;              ///< responses: module succeeded
   std::string error_message;   ///< responses with ok == false
-  /// Responses only, 0 = absent.  When a request's seq falls behind the
-  /// daemon's last handled seq (two hosts sharing one module log), the
-  /// daemon's error reply carries its high-water mark here so the losing
-  /// client can re-seed instead of burning its full timeout.
-  std::uint64_t last_seq = 0;
   /// Responses only: result-cache participation (see CacheState).
   CacheState cache = CacheState::kNone;
   /// Responses with cache != kNone: the cache entry's insertion epoch
@@ -77,20 +69,20 @@ struct Record {
   /// cached computation; an epoch increase across an identical request
   /// means the entry was invalidated and recomputed in between.
   std::uint64_t cache_epoch = 0;
-  /// Rev 2: the sending client's id (0 = legacy rev-1 record).  Chooses
-  /// the request shard and names the reply file.
+  /// The sending client's id; never 0 on the wire (the drainer drops
+  /// such frames).  Chooses the request shard and names the reply file.
   std::uint64_t client_id = 0;
-  /// Rev 2, requests: tenant label for QoS accounting ("" = default).
+  /// Requests: tenant label for QoS accounting ("" = default).
   std::string tenant;
-  /// Rev 2, requests: latency budget in ms; the daemon sheds requests
+  /// Requests: latency budget in ms; the daemon sheds requests
   /// that sat in the admission queue past it (0 = no deadline).
   std::uint64_t deadline_ms = 0;
-  /// Rev 2, responses: non-zero marks a backpressure rejection — the
+  /// Responses: non-zero marks a backpressure rejection — the
   /// admission queue was full and the client should back off roughly
   /// this many ms (with jitter) before re-sending.
   std::uint64_t retry_after_ms = 0;
-  /// Rev 2, responses: how many coalesced requests this module run fanned
-  /// out to (1 = solo, 0 = legacy record without the field).
+  /// Responses: how many coalesced requests this module run fanned out
+  /// to (1 = solo, 0 = absent).
   std::uint64_t waiters = 0;
   KeyValueMap payload;         ///< user parameters or results
 };
@@ -101,20 +93,19 @@ std::string encode_record(const Record& record);
 /// Parses and validates a record (structure + checksum).
 Result<Record> decode_record(std::string_view text);
 
-/// The log-file name a module owns inside the shared log folder.
+/// The log-file name a module owns inside the shared log folder (the
+/// header-only marker Daemon::preload creates).
 std::string log_file_name(std::string_view module_name);
 
 /// Module names appear in file names: [a-zA-Z0-9_-]+, non-empty.
 bool valid_module_name(std::string_view name);
 
-// --- Rev 2: sharded mailbox channel -----------------------------------
+// --- Sharded mailbox channel ------------------------------------------
 
-/// Subdirectory of the log dir holding the K request mailboxes.  A
-/// subdirectory on purpose: the rev-1 watchers iterate the log dir
-/// non-recursively, so growing mailboxes and per-client reply files
-/// never enter their fingerprint set.
+/// Subdirectory of the log dir holding the K request mailboxes.  Its own
+/// directory so the daemon's inotify watch sees only mailbox appends.
 inline constexpr std::string_view kShardDirName = "shards";
-/// Subdirectory holding the per-client single-record reply files.
+/// Subdirectory holding the per-client append-only reply files.
 inline constexpr std::string_view kReplyDirName = "replies";
 /// Channel manifest file the daemon writes into the log dir so clients
 /// can discover the sharded channel (and its shard count).

@@ -119,15 +119,13 @@ grep -q '"hit_phase_all_hits": true' BENCH_fam.json || {
 }
 
 # bench_record serve: a tiny 64-client run over the sharded mailbox
-# channel must record throughput and tail latency for both arms (the
-# sharded entry and its single-log baseline), the coalesce rate, the
+# channel must record throughput and tail latency, the coalesce rate, the
 # backpressure phase, and — non-negotiably — an exactly-once ledger of
 # zero lost and zero duplicated responses.
 "$TOOLS_DIR/bench_record" --suite serve --bytes 64K --reps 1 \
     --workers 2 --label smoke --out BENCH_fam.json > /dev/null
 for needle in throughput_rps serve_p50_ms serve_p99_ms coalesce_rate \
-    speedup_vs_single_log backpressure_p99_ms backpressure_retries \
-    smoke-single-log; do
+    backpressure_p99_ms backpressure_retries; do
   grep -q "$needle" BENCH_fam.json || {
     echo "BENCH_fam.json: missing '$needle'"; exit 1;
   }

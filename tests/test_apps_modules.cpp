@@ -23,7 +23,7 @@ using namespace std::chrono_literals;
 
 struct ModulesFixture : ::testing::Test {
   ModulesFixture()
-      : daemon(fam::DaemonOptions{shared.path(), 1ms, 2}),
+      : daemon(fam::DaemonOptions{shared.path(), 2}),
         client(fam::ClientOptions{shared.path(), 1ms, 30'000ms}) {
     const Status s = preload_standard_modules(
         [this](auto module) { return daemon.preload(std::move(module)); }, 2);

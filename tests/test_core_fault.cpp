@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/io.hpp"
 #include "core/stopwatch.hpp"
-#include "fam/watcher.hpp"
+#include "fam/inotify_watcher.hpp"
 #include "obs/counters.hpp"
 
 namespace mcsd::fault {
@@ -208,28 +210,48 @@ TEST(FaultInjection, RefillRetryExhaustionPropagates) {
 TEST(FaultInjection, WatcherEventSuppressionDropsOneDelivery) {
   TempDir dir{"fault"};
   const auto path = dir / "watched.txt";
-  ASSERT_TRUE(write_file_atomic(path, "v1").is_ok());
+  // Created before the watch exists, so each rewrite below raises exactly
+  // one event (close-write), never a create.
+  ASSERT_TRUE(write_file(path, "v1").is_ok());
 
+  std::mutex fired_mutex;
   std::vector<std::string> fired;
-  fam::FileWatcher watcher{dir.path(), 1000ms,
-                           [&](const std::filesystem::path& p) {
-                             fired.push_back(p.filename().string());
-                           }};
+  auto watcher = fam::InotifyWatcher::create(
+      dir.path(), [&](const std::filesystem::path& p) {
+        std::lock_guard lock{fired_mutex};
+        fired.push_back(p.filename().string());
+      });
+  if (!watcher) GTEST_SKIP() << watcher.error().to_string();
   FaultScope scope{plan_or_die("watch.suppress=@1")};
-  ASSERT_TRUE(write_file_atomic(path, "v2").is_ok());
-  watcher.poll_once();
-  EXPECT_TRUE(fired.empty());  // the change was observed but not delivered
+  watcher.value()->start();
+  const auto fired_now = [&] {
+    std::lock_guard lock{fired_mutex};
+    return fired;
+  };
+
+  ASSERT_TRUE(write_file(path, "v2").is_ok());
+  Stopwatch waited;
+  while (Injector::instance().injected(Site::kWatchEvent,
+                                       Kind::kSuppressEvent) == 0) {
+    ASSERT_LT(waited.elapsed(), 5s) << "the event never reached the watcher";
+    std::this_thread::sleep_for(1ms);
+  }
+  // The change was observed but not delivered.
+  EXPECT_TRUE(fired_now().empty());
+
+  // The event is permanently lost — only a *new* change fires, which is
+  // why the channel keeps its timers under the events.
+  ASSERT_TRUE(write_file(path, "v3").is_ok());
+  waited.restart();
+  while (fired_now().empty()) {
+    ASSERT_LT(waited.elapsed(), 5s) << "the next change never fired";
+    std::this_thread::sleep_for(1ms);
+  }
+  watcher.value()->stop();
+  EXPECT_EQ(fired_now(), std::vector<std::string>{"watched.txt"});
   EXPECT_EQ(Injector::instance().injected(Site::kWatchEvent,
                                           Kind::kSuppressEvent),
             1u);
-
-  // The event is permanently lost (fingerprint already advanced) — only
-  // a *new* change fires, which is why clients must re-send on timeout.
-  watcher.poll_once();
-  EXPECT_TRUE(fired.empty());
-  ASSERT_TRUE(write_file_atomic(path, "v3").is_ok());
-  watcher.poll_once();
-  EXPECT_EQ(fired, std::vector<std::string>{"watched.txt"});
 }
 
 TEST(FaultInjection, PathFilterSparesOtherFilesWithoutConsumingSteps) {

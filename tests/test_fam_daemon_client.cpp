@@ -15,8 +15,8 @@
 #include "core/io.hpp"
 #include "fam/client.hpp"
 #include "fam/daemon.hpp"
+#include "core/stopwatch.hpp"
 #include "fam/protocol.hpp"
-#include "obs/counters.hpp"
 
 namespace mcsd::fam {
 namespace {
@@ -48,7 +48,7 @@ std::shared_ptr<Module> adder_module() {
 
 struct FamFixture : ::testing::Test {
   FamFixture()
-      : daemon(DaemonOptions{log_dir.path(), 1ms, 2}),
+      : daemon(DaemonOptions{log_dir.path(), 2}),
         client(ClientOptions{log_dir.path(), 1ms, 30'000ms}) {}
 
   TempDir log_dir{"famtest"};
@@ -224,19 +224,41 @@ TEST_F(FamFixture, ConcurrentCallersOnSameModuleSerialise) {
   EXPECT_EQ(daemon.requests_handled(), 4u);
 }
 
-// Regression for the response-clobbers-newer-request bug: request seq N
-// is dispatching while request seq N+1 lands in the log.  Without the
-// conflict guard the daemon's seq-N response atomically replaces the
-// seq-N+1 request; the polling watcher's fingerprint then advances past
-// it and seq N+1 is never answered.  The fixed daemon re-reads the log
-// before responding, drops the stale response, and re-dispatches the
-// newer request.
+/// Appends one request frame for `client_id` straight into the mailbox
+/// the client would hash to — a host without the Client class.
+void append_request(const std::filesystem::path& dir, std::size_t shards,
+                    std::uint64_t client_id, std::uint64_t seq,
+                    const std::string& module, const KeyValueMap& payload) {
+  Record request;
+  request.type = RecordType::kRequest;
+  request.seq = seq;
+  request.module = module;
+  request.client_id = client_id;
+  request.payload = payload;
+  ASSERT_TRUE(append_file(dir / kShardDirName /
+                              shard_file_name(shard_for_client(client_id,
+                                                               shards)),
+                          encode_record(request))
+                  .is_ok());
+}
+
+/// Every complete frame in `client_id`'s reply file.
+FrameStream read_replies(const std::filesystem::path& dir,
+                         std::uint64_t client_id) {
+  const auto contents =
+      read_file(dir / kReplyDirName / reply_file_name(client_id));
+  if (!contents) return {};
+  return decode_frame_stream(contents.value());
+}
+
+// The reply-order guard: a client that re-sends (seq 2) while its seq-1
+// request is still running awaits only seq 2.  When the seq-1 run
+// finishes after the seq-2 reply has landed, its late reply must be
+// suppressed — appended after the seq-2 frame it would be the last word
+// in the reply log, and a reader keyed on "newest frame" would take it.
 TEST(ResponseConflict, ResponseNeverClobbersNewerRequest) {
   TempDir dir{"famclobber"};
-  // A slow poll cadence leaves a wide window between "module finished"
-  // and "watcher would next observe the log" — the exact window where
-  // the unguarded write lost the newer request.
-  Daemon daemon{DaemonOptions{dir.path(), 150ms, 1}};
+  Daemon daemon{DaemonOptions{dir.path(), 2}};  // seq 2 runs beside seq 1
   std::atomic<bool> entered{false};
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -245,181 +267,160 @@ TEST(ResponseConflict, ResponseNeverClobbersNewerRequest) {
                   .preload(std::make_shared<FunctionModule>(
                       "slow",
                       [&](const KeyValueMap& params) -> Result<KeyValueMap> {
-                        entered.store(true);
-                        std::unique_lock lock{gate_mutex};
-                        gate_cv.wait(lock, [&] { return gate_open; });
+                        if (params.get_or("tag", "") == "one") {
+                          entered.store(true);
+                          std::unique_lock lock{gate_mutex};
+                          gate_cv.wait(lock, [&] { return gate_open; });
+                        }
                         KeyValueMap out;
                         out.set("tag", params.get_or("tag", ""));
                         return out;
                       }))
                   .is_ok());
   daemon.start();
-  const auto log = dir / "slow.log";
-
-  Record first;
-  first.type = RecordType::kRequest;
-  first.seq = 1;
-  first.module = "slow";
-  first.payload.set("tag", "one");
-  ASSERT_TRUE(write_file_atomic(log, encode_record(first)).is_ok());
-  for (int i = 0; i < 5000 && !entered.load(); ++i) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_TRUE(entered.load()) << "request 1 never reached the module";
-
-  // Request 2 lands while the module still chews on request 1; releasing
-  // the gate right after makes the seq-1 response race the next poll.
-  Record second = first;
-  second.seq = 2;
-  second.payload.set("tag", "two");
-  ASSERT_TRUE(write_file_atomic(log, encode_record(second)).is_ok());
-  {
-    std::lock_guard lock{gate_mutex};
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-
-  bool answered = false;
-  for (int i = 0; i < 5000 && !answered; ++i) {
-    if (const auto contents = read_file(log); contents.is_ok()) {
-      if (const auto record = decode_record(contents.value());
-          record.is_ok() && record.value().type == RecordType::kResponse &&
-          record.value().seq == 2) {
-        EXPECT_EQ(record.value().payload.get("tag"), "two");
-        answered = true;
-      }
+  constexpr std::uint64_t kClient = 77;
+  const auto release = [&] {
+    {
+      std::lock_guard lock{gate_mutex};
+      gate_open = true;
     }
+    gate_cv.notify_all();
+  };
+
+  KeyValueMap one;
+  one.set("tag", "one");
+  append_request(dir.path(), daemon.channel_shards(), kClient, 1, "slow", one);
+  Stopwatch waited;
+  while (!entered.load()) {
+    if (waited.elapsed() > 10s) release();
+    ASSERT_LT(waited.elapsed(), 10s) << "request 1 never reached the module";
     std::this_thread::sleep_for(1ms);
   }
-  EXPECT_TRUE(answered) << "request 2 was clobbered and never answered";
-  // The module finished request 1 strictly after request 2 was in the
-  // log, so the guard must have seen (and counted) the conflict.
-  EXPECT_GE(daemon.response_conflicts(), 1u);
-  daemon.stop();
+
+  // Seq 2 lands while seq 1 is still gated, runs on the second worker and
+  // is answered first.
+  KeyValueMap two;
+  two.set("tag", "two");
+  append_request(dir.path(), daemon.channel_shards(), kClient, 2, "slow", two);
+  waited.restart();
+  while (read_replies(dir.path(), kClient).records.empty()) {
+    if (waited.elapsed() > 10s) release();
+    ASSERT_LT(waited.elapsed(), 10s) << "request 2 was never answered";
+    std::this_thread::sleep_for(1ms);
+  }
+  release();
+  daemon.stop();  // joins the worker that finishes seq 1
+
+  EXPECT_GE(daemon.reply_conflicts(), 1u);
+  const FrameStream replies = read_replies(dir.path(), kClient);
+  EXPECT_EQ(replies.corrupt, 0u);
+  ASSERT_EQ(replies.records.size(), 1u) << "the late seq-1 reply landed";
+  EXPECT_EQ(replies.records[0].seq, 2u);
+  EXPECT_EQ(replies.records[0].payload.get("tag"), "two");
+  EXPECT_EQ(daemon.requests_handled(), 2u);
 }
 
-// Two Client objects sharing one module log — the paper's multi-host
-// scenario.  The client that falls behind sends a stale seq; the daemon
-// answers with its high-water mark (mcsd.last) and the client re-seeds
-// and retries instead of burning its full timeout budget.
-TEST(SeqCollision, TwoClientsSharingOneModuleLogBothSucceed) {
-  TempDir dir{"famcollide"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 2}};
-  ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
-  daemon.start();
-
-  ClientOptions copts{dir.path(), 1ms, 5'000ms};
-  copts.max_attempts = 4;
-  // This contention machinery only exists on the rev-1 channel; the
-  // sharded mailbox eliminates cross-client collisions by construction
-  // (per-client seq spaces), so pin legacy to keep exercising it.
-  copts.force_legacy = true;
-  Client a{copts};
-  Client b{copts};
-
-  KeyValueMap params;
-  params.set("who", "a1");
-  ASSERT_TRUE(a.invoke("echo", params).is_ok());  // a's next seq: 2
-
-  // b seeds from the log (sees a's response, seq 1) and advances the
-  // channel past a's bookkeeping.
-  params.set("who", "b1");
-  ASSERT_TRUE(b.invoke("echo", params).is_ok());  // seq 2
-  params.set("who", "b2");
-  ASSERT_TRUE(b.invoke("echo", params).is_ok());  // seq 3
-
-  // a now sends seq 2 < 3: stale.  The daemon's mcsd.last reply re-seeds
-  // a to seq 4 and the retry lands.
-  params.set("who", "a2");
-  const auto recovered = a.invoke("echo", params);
-  ASSERT_TRUE(recovered.is_ok()) << recovered.error().to_string();
-  EXPECT_EQ(recovered.value().get("who"), "a2");
-  EXPECT_GE(daemon.stale_replies(), 1u);
-  EXPECT_EQ(daemon.requests_handled(), 4u);  // stale replies aren't handled
-}
-
-// stop() drains: every request the watcher accepted before stop() still
-// gets a response; only post-close arrivals are counted as dropped.
+// stop() drains: every frame appended before stop() is admitted by the
+// drainer's final pass and answered exactly once; nothing is dropped.
 TEST(DaemonStop, DrainsAcceptedRequestsBeforeStopping) {
   TempDir dir{"famdrain"};
-  Daemon daemon{DaemonOptions{dir.path(), 5ms, 1}};
-  const std::vector<std::string> modules{"drain1", "drain2", "drain3"};
-  for (const std::string& name : modules) {
-    ASSERT_TRUE(daemon
-                    .preload(std::make_shared<FunctionModule>(
-                        name,
-                        [](const KeyValueMap&) -> Result<KeyValueMap> {
-                          std::this_thread::sleep_for(150ms);
-                          KeyValueMap out;
-                          out.set("drained", "true");
-                          return out;
-                        }))
-                    .is_ok());
-  }
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
+  ASSERT_TRUE(daemon
+                  .preload(std::make_shared<FunctionModule>(
+                      "drain",
+                      [](const KeyValueMap&) -> Result<KeyValueMap> {
+                        std::this_thread::sleep_for(150ms);
+                        KeyValueMap out;
+                        out.set("drained", "true");
+                        return out;
+                      }))
+                  .is_ok());
   daemon.start();
-  for (const std::string& name : modules) {
-    Record request;
-    request.type = RecordType::kRequest;
-    request.seq = 1;
-    request.module = name;
-    ASSERT_TRUE(
-        write_file_atomic(dir / (name + ".log"), encode_record(request))
-            .is_ok());
+  // Three distinct clients: the module is uncacheable, so each frame is
+  // its own batch.
+  const std::vector<std::uint64_t> clients{11, 12, 13};
+  for (const std::uint64_t client : clients) {
+    append_request(dir.path(), daemon.channel_shards(), client, 1, "drain",
+                   KeyValueMap{});
   }
-  // One dispatcher, 150 ms per module: by now all three requests are
-  // enqueued but at most one is done.  stop() must finish the backlog.
+  // One batch worker, 150 ms per run: by now at most one frame is done.
+  // stop() must finish the backlog.
   std::this_thread::sleep_for(100ms);
   daemon.stop();
-  EXPECT_EQ(daemon.requests_handled(), 3u);
+  EXPECT_EQ(daemon.requests_handled(), clients.size());
   EXPECT_EQ(daemon.dropped_on_shutdown(), 0u);
-  for (const std::string& name : modules) {
-    const auto contents = read_file(dir / (name + ".log"));
-    ASSERT_TRUE(contents.is_ok());
-    const auto record = decode_record(contents.value());
-    ASSERT_TRUE(record.is_ok()) << name;
-    EXPECT_EQ(record.value().type, RecordType::kResponse) << name;
-    EXPECT_EQ(record.value().seq, 1u) << name;
-    EXPECT_EQ(record.value().payload.get("drained"), "true") << name;
+  for (const std::uint64_t client : clients) {
+    const FrameStream replies = read_replies(dir.path(), client);
+    EXPECT_EQ(replies.corrupt, 0u) << client;
+    ASSERT_EQ(replies.records.size(), 1u) << client;
+    const Record& reply = replies.records[0];
+    EXPECT_EQ(reply.type, RecordType::kResponse) << client;
+    EXPECT_EQ(reply.seq, 1u) << client;
+    EXPECT_EQ(reply.payload.get("drained"), "true") << client;
   }
 }
 
-// A transient read failure while the client seeds its sequence number
-// must not reset it to 1 (which the daemon would silently drop as a
-// duplicate).  The retry inside current_seq absorbs the glitch, so even
-// a single-attempt client succeeds.
-TEST(ClientRetry, SeqSeedingSurvivesTransientReadFailure) {
-  TempDir dir{"famseed"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1}};
+// stop() closes the admission queue; a later start() must serve again
+// rather than refuse every request as "daemon stopping".
+TEST(DaemonStop, RestartAfterStopServesAgain) {
+  TempDir dir{"famrestart"};
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
-  daemon.start();
+  Client client{ClientOptions{dir.path(), 1ms, 5'000ms}};
+  for (const char* round : {"first", "second"}) {
+    daemon.start();
+    KeyValueMap params;
+    params.set("round", round);
+    const auto result = client.invoke("echo", params);
+    ASSERT_TRUE(result.is_ok()) << round << ": " << result.error().to_string();
+    EXPECT_EQ(result.value().get("round"), round);
+    daemon.stop();
+  }
+  EXPECT_EQ(daemon.requests_handled(), 2u);
+  EXPECT_EQ(daemon.dropped_on_shutdown(), 0u);
+}
 
-  ClientOptions copts{dir.path(), 1ms, 5'000ms};
-  Client warmup{copts};
-  KeyValueMap params;
-  params.set("who", "warmup");
-  ASSERT_TRUE(warmup.invoke("echo", params).is_ok());  // daemon last = 1
+// A daemon started on a folder an earlier daemon served must not replay
+// the mailbox history: those frames were answered back then, and
+// re-running them would execute every past request again.
+TEST(DaemonRestart, NewDaemonDoesNotReplayDrainedFrames) {
+  TempDir dir{"famreplay"};
+  std::atomic<int> executions{0};
+  const auto tally = [&executions] {
+    return std::make_shared<FunctionModule>(
+        "tally", [&executions](const KeyValueMap&) -> Result<KeyValueMap> {
+          KeyValueMap out;
+          out.set_int("run", executions.fetch_add(1) + 1);
+          return out;
+        });
+  };
+  const ClientOptions copts{dir.path(), 1ms, 30'000ms};
+  {
+    Daemon first{DaemonOptions{dir.path(), 1}};
+    ASSERT_TRUE(first.preload(tally()).is_ok());
+    first.start();
+    for (int i = 0; i < 5; ++i) {
+      // A fresh client per invoke: five distinct senders, so a replay
+      // could not fold them into one superseded request.
+      Client client{copts};
+      ASSERT_TRUE(client.invoke("tally", KeyValueMap{}).is_ok());
+    }
+  }
+  ASSERT_EQ(executions.load(), 5);
 
-  // A fresh client's very first log reads (the seq seeding) fail with
-  // EIO.  Without the in-place retry it would fall back to seq 1,
-  // collide with the handled seq above, and time out.  Three scheduled
-  // steps because the daemon's polling fingerprint shares the read site:
-  // whichever thread absorbs a step, the client's first read still
-  // faults, and the five seeding attempts still outlast the schedule.
-  copts.max_attempts = 1;
-  copts.timeout = 2'000ms;
-  Client fresh{copts};
-  fault::FaultScope scope{
-      fault::FaultPlan::from_spec("read.eio=@1+2+3,path_filter=echo.log")
-          .value()};
-  params.set("who", "fresh");
-  const auto result = fresh.invoke("echo", params);
-  ASSERT_TRUE(result.is_ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().get("who"), "fresh");
+  Daemon second{DaemonOptions{dir.path(), 1}};
+  ASSERT_TRUE(second.preload(tally()).is_ok());
+  second.start();
+  Client client{copts};
+  ASSERT_TRUE(client.invoke("tally", KeyValueMap{}).is_ok());
+  second.stop();  // runs anything else the drainer admitted
+  EXPECT_EQ(executions.load(), 6);
+  EXPECT_EQ(second.requests_handled(), 1u);
 }
 
 TEST(ClientRetry, SecondAttemptSucceedsAfterLateDaemonStart) {
   TempDir dir{"famretry"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1}};
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
   // Daemon not started yet: the first attempt must time out.
 
@@ -444,7 +445,7 @@ TEST(ClientRetry, SecondAttemptSucceedsAfterLateDaemonStart) {
 
 TEST(ClientRetry, ExhaustedAttemptsReportAttemptCount) {
   TempDir dir{"famretry"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1}};
+  Daemon daemon{DaemonOptions{dir.path(), 1}};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
   // Never started.
   ClientOptions copts;
@@ -457,6 +458,74 @@ TEST(ClientRetry, ExhaustedAttemptsReportAttemptCount) {
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kTimeout);
   EXPECT_NE(result.error().message().find("attempt 3/3"), std::string::npos);
+}
+
+// A daemon restarted with fewer shards no longer drains the mailboxes
+// some slots hashed to under the old count.  The client re-reads the
+// manifest after a timed-out attempt, so the retry reaches the daemon.
+TEST(ClientRetry, ReprobesShardCountAfterDaemonRestart) {
+  TempDir dir{"famreshard"};
+  const auto slow_echo = [] {
+    // Slow enough that eight concurrent invokes hold eight slots at once.
+    return std::make_shared<FunctionModule>(
+        "echo", [](const KeyValueMap& params) -> Result<KeyValueMap> {
+          std::this_thread::sleep_for(20ms);
+          return params;
+        });
+  };
+  ClientOptions copts{dir.path(), 1ms, 1'000ms};
+  copts.max_attempts = 2;
+  Client client{copts};
+  const auto invoke_eight = [&client] {
+    std::atomic<int> ok{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        KeyValueMap params;
+        params.set("who", std::to_string(t));
+        const auto result = client.invoke("echo", params);
+        if (result.is_ok() && result.value().get("who") == params.get("who")) {
+          ok.fetch_add(1);
+        } else if (!result.is_ok()) {
+          ADD_FAILURE() << result.error().to_string();
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    return ok.load();
+  };
+
+  {
+    DaemonOptions wide{dir.path(), 2};
+    wide.channel_shards = 8;
+    Daemon daemon{wide};
+    ASSERT_TRUE(daemon.preload(slow_echo()).is_ok());
+    daemon.start();
+    ASSERT_EQ(invoke_eight(), 8);
+  }
+  DaemonOptions narrow{dir.path(), 2};
+  narrow.channel_shards = 1;
+  Daemon daemon{narrow};
+  ASSERT_TRUE(daemon.preload(slow_echo()).is_ok());
+  daemon.start();
+  EXPECT_EQ(invoke_eight(), 8);
+}
+
+// With no manifest the client keeps probing for one until the attempt's
+// timeout, and the error names the missing file.
+TEST(ClientRetry, MissingManifestNamedInTimeout) {
+  TempDir dir{"famnomanifest"};
+  ASSERT_TRUE(write_file(dir / log_file_name("echo"), "# preloaded\n").is_ok());
+  ClientOptions copts{dir.path(), 1ms, 50ms};
+  copts.max_attempts = 2;
+  Client client{copts};
+  const auto result = client.invoke("echo", KeyValueMap{});
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.error().code(), ErrorCode::kTimeout);
+  EXPECT_NE(result.error().message().find(std::string{kManifestFileName}),
+            std::string::npos)
+      << result.error().message();
+  EXPECT_NE(result.error().message().find("attempt 2/2"), std::string::npos);
 }
 
 // A cacheable module: declares its input file via cache_inputs and
@@ -571,7 +640,7 @@ TEST_F(FamFixture, ModuleWithoutCacheInputsNeverCached) {
 
 TEST(ResultCacheConfig, ZeroBytesDisablesTheCache) {
   TempDir dir{"famnocache"};
-  DaemonOptions options{dir.path(), std::chrono::milliseconds{1}, 2};
+  DaemonOptions options{dir.path(), 2};
   options.result_cache_bytes = 0;
   Daemon daemon{options};
   EXPECT_EQ(daemon.result_cache(), nullptr);
@@ -629,62 +698,47 @@ TEST(ModuleRegistry, Basics) {
 TEST(DaemonConfig, ParsesAllKeys) {
   const auto parsed = KeyValueMap::parse(
       "log_dir=/srv/mcsd\n"
-      "poll_interval_ms=7\n"
       "dispatch_threads=4\n"
-      "backend=inotify\n");
+      "pool_bytes=64MiB\n"
+      "result_cache_bytes=8M\n"
+      "channel_shards=3\n"
+      "admission_queue_limit=17\n"
+      "drain_interval_ms=7\n");
   ASSERT_TRUE(parsed.is_ok());
   const auto options = daemon_options_from_config(parsed.value());
-  ASSERT_TRUE(options.is_ok());
+  ASSERT_TRUE(options.is_ok()) << options.error().to_string();
   EXPECT_EQ(options.value().log_dir, "/srv/mcsd");
-  EXPECT_EQ(options.value().poll_interval, std::chrono::milliseconds{7});
   EXPECT_EQ(options.value().dispatch_threads, 4u);
-  EXPECT_EQ(options.value().backend, WatcherBackend::kInotify);
+  EXPECT_EQ(options.value().pool_bytes, 64u << 20);
+  EXPECT_EQ(options.value().result_cache_bytes, 8u << 20);
+  EXPECT_EQ(options.value().channel_shards, 3u);
+  EXPECT_EQ(options.value().admission_queue_limit, 17u);
+  EXPECT_EQ(options.value().drain_interval, std::chrono::milliseconds{7});
 }
 
 TEST(DaemonConfig, DefaultsApplyForOmittedKeys) {
   const auto options = daemon_options_from_config(KeyValueMap{});
   ASSERT_TRUE(options.is_ok());
-  EXPECT_EQ(options.value().poll_interval, kDefaultWatcherPollInterval);
-  EXPECT_EQ(options.value().backend, WatcherBackend::kPolling);
+  const DaemonOptions defaults;
+  EXPECT_EQ(options.value().dispatch_threads, defaults.dispatch_threads);
+  EXPECT_EQ(options.value().channel_shards, defaults.channel_shards);
+  EXPECT_EQ(options.value().admission_queue_limit,
+            defaults.admission_queue_limit);
+  EXPECT_EQ(options.value().drain_interval, defaults.drain_interval);
 }
 
 TEST(DaemonConfig, RejectsBadValuesAndUnknownKeys) {
-  const auto bad_interval =
-      KeyValueMap::parse("poll_interval_ms=0\n");
-  ASSERT_TRUE(bad_interval.is_ok());
-  EXPECT_FALSE(daemon_options_from_config(bad_interval.value()).is_ok());
-
-  const auto bad_backend = KeyValueMap::parse("backend=dbus\n");
-  ASSERT_TRUE(bad_backend.is_ok());
-  EXPECT_FALSE(daemon_options_from_config(bad_backend.value()).is_ok());
-
-  const auto typo = KeyValueMap::parse("pol_interval_ms=2\n");
-  ASSERT_TRUE(typo.is_ok());
-  EXPECT_FALSE(daemon_options_from_config(typo.value()).is_ok());
-}
-
-// The configured interval surfaces in the watcher's poll-latency
-// histogram label, so a trace attributes latency to the cadence that
-// produced it.
-#if MCSD_OBS_ENABLED
-TEST(DaemonConfig, PollIntervalLabelsWatcherHistogram) {
-  TempDir dir{"famcfg"};
-  const auto parsed = KeyValueMap::parse("poll_interval_ms=9\n");
-  ASSERT_TRUE(parsed.is_ok());
-  auto options = daemon_options_from_config(parsed.value());
-  ASSERT_TRUE(options.is_ok());
-  options.value().log_dir = dir.path();
-  Daemon daemon{std::move(options).value()};
-  daemon.start();
-  daemon.stop();
-  const auto snap = obs::Registry::instance().snapshot();
-  bool found = false;
-  for (const auto& h : snap.histograms) {
-    if (h.name == "fam.watcher_poll_us(interval=9ms)") found = true;
+  for (const char* bad :
+       {"drain_interval_ms=0\n", "channel_shards=0\n",
+        "dispatch_threads=0\n", "admission_queue_limit=-1\n",
+        "backend=inotify\n",
+        // A typo must not silently run defaults.
+        "drian_interval_ms=2\n"}) {
+    const auto parsed = KeyValueMap::parse(bad);
+    ASSERT_TRUE(parsed.is_ok()) << bad;
+    EXPECT_FALSE(daemon_options_from_config(parsed.value()).is_ok()) << bad;
   }
-  EXPECT_TRUE(found);
 }
-#endif
 
 }  // namespace
 }  // namespace mcsd::fam

@@ -1,4 +1,4 @@
-// The rev-2 sharded mailbox dispatch layer (DESIGN.md §13): admission
+// The sharded mailbox dispatch layer (DESIGN.md §13): admission
 // queue semantics, shard drain cursors, QoS accounting, and the
 // end-to-end serving properties the channel promises — fair shard
 // draining, coalesced responses byte-identical to solo runs, typed
@@ -317,7 +317,7 @@ std::shared_ptr<Module> digest_module() {
 
 TEST(ShardedServe, EveryShardIsDrainedNoneStarve) {
   TempDir dir{"fairness"};
-  DaemonOptions dopts{dir.path(), 1ms, 2};
+  DaemonOptions dopts{dir.path(), 2};
   dopts.channel_shards = 4;
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
@@ -378,7 +378,7 @@ TEST(ShardedServe, CoalescedResponsesAreByteIdenticalToSoloRun) {
   ASSERT_TRUE(write_file(corpus, "the quick brown fox\n").is_ok());
 
   Gate gate;
-  DaemonOptions dopts{dir.path(), 1ms, 1};  // single batch worker
+  DaemonOptions dopts{dir.path(), 1};  // single batch worker
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(gate.module()).is_ok());
   ASSERT_TRUE(daemon.preload(digest_module()).is_ok());
@@ -430,7 +430,6 @@ TEST(ShardedServe, CoalescedResponsesAreByteIdenticalToSoloRun) {
     EXPECT_EQ(payloads[i], payloads[0]);
     // ...and each waiter knows how many requests shared the run.
     EXPECT_EQ(infos[i].waiters, 3u);
-    EXPECT_TRUE(infos[i].sharded);
   }
   // ...and byte-identical to the solo run, modulo the tag the test
   // varied to keep the solo run out of the coalesced batch's key.
@@ -449,7 +448,7 @@ TEST(ShardedServe, CoalescedResponsesAreByteIdenticalToSoloRun) {
 TEST(ShardedServe, BackpressureRoundTrip) {
   TempDir dir{"backpressure"};
   Gate gate;
-  DaemonOptions dopts{dir.path(), 1ms, 1};
+  DaemonOptions dopts{dir.path(), 1};
   dopts.admission_queue_limit = 1;
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(gate.module()).is_ok());
@@ -509,7 +508,7 @@ TEST(ShardedServe, BackpressureRoundTrip) {
 TEST(ShardedServe, BackpressureBudgetExhaustionReturnsUnavailable) {
   TempDir dir{"bpbudget"};
   Gate gate;
-  DaemonOptions dopts{dir.path(), 1ms, 1};
+  DaemonOptions dopts{dir.path(), 1};
   dopts.admission_queue_limit = 1;
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(gate.module()).is_ok());
@@ -549,7 +548,7 @@ TEST(ShardedServe, BackpressureBudgetExhaustionReturnsUnavailable) {
 
 TEST(ShardedServe, EightThreadHammerExactlyOnce) {
   TempDir dir{"hammer"};
-  DaemonOptions dopts{dir.path(), 1ms, 4};
+  DaemonOptions dopts{dir.path(), 4};
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
   daemon.start();
@@ -571,7 +570,6 @@ TEST(ShardedServe, EightThreadHammerExactlyOnce) {
         // thread's, not a stale one.
         EXPECT_EQ(result.value().get("who"),
                   std::to_string(t) + ":" + std::to_string(i));
-        EXPECT_TRUE(info.sharded);
         ok.fetch_add(1);
       }
     });
@@ -595,28 +593,9 @@ TEST(ShardedServe, EightThreadHammerExactlyOnce) {
   EXPECT_EQ(drained, static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
-TEST(ShardedServe, ShardsDisabledFallsBackToLegacy) {
-  TempDir dir{"legacyonly"};
-  DaemonOptions dopts{dir.path(), 1ms, 1};
-  dopts.channel_shards = 0;
-  Daemon daemon{dopts};
-  ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
-  daemon.start();
-  EXPECT_FALSE(fs::exists(dir / kManifestFileName));
-
-  Client client{ClientOptions{dir.path(), 1ms, 30'000ms}};
-  KeyValueMap params;
-  params.set("who", "legacy");
-  InvokeInfo info;
-  const auto result = client.invoke("echo", params, &info);
-  ASSERT_TRUE(result.is_ok()) << result.error().to_string();
-  EXPECT_FALSE(info.sharded);
-  daemon.stop();
-}
-
 TEST(ShardedServe, TenantLabelReachesQosAccounting) {
   TempDir dir{"tenantqos"};
-  DaemonOptions dopts{dir.path(), 1ms, 2};
+  DaemonOptions dopts{dir.path(), 2};
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());
   daemon.start();
@@ -649,7 +628,7 @@ TEST(ShardedServe, EventsWakeDrainerAndClientBeforeTheirTimers) {
 
   // Timers far slower than the bound below: only inotify events can wake
   // the drainer and the waiting client in time.
-  DaemonOptions dopts{dir.path(), 1ms, 1};
+  DaemonOptions dopts{dir.path(), 1};
   dopts.drain_interval = 500ms;
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(digest_module()).is_ok());
@@ -701,7 +680,7 @@ TEST(ShardedServe, LostWatchEventsFallBackToTimersExactlyOnce) {
       counter_value("fam.serve.drain_wakeups(cause=event)") +
       counter_value("fam.client.reply_wakeups(cause=event)");
 
-  DaemonOptions dopts{dir.path(), 1ms, 2};
+  DaemonOptions dopts{dir.path(), 2};
   dopts.drain_interval = 20ms;
   Daemon daemon{dopts};
   ASSERT_TRUE(daemon.preload(echo_module()).is_ok());

@@ -1,5 +1,5 @@
-// InotifyWatcher (the paper's actual FAM mechanism) and the daemon's
-// backend selection.
+// InotifyWatcher: the paper's FAM mechanism, which wakes the daemon's
+// drainer and the waiting clients.
 #include "fam/inotify_watcher.hpp"
 
 #include <gtest/gtest.h>
@@ -7,11 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 
 #include "core/io.hpp"
-#include "fam/client.hpp"
-#include "fam/daemon.hpp"
 
 namespace mcsd::fam {
 namespace {
@@ -103,42 +103,6 @@ TEST(InotifyWatcher, RestartAfterStopStillDeliversEvents) {
   ASSERT_TRUE(write_file(dir / "a.log", "payload").is_ok());
   EXPECT_TRUE(eventually([&] { return events.load() >= 1; }));
   watcher.value()->stop();
-}
-
-TEST(DaemonBackend, InotifySelectedWhenRequested) {
-  TempDir dir{"ino"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1, WatcherBackend::kInotify}};
-  EXPECT_EQ(daemon.active_backend(), WatcherBackend::kInotify);
-}
-
-TEST(DaemonBackend, PollingIsDefault) {
-  TempDir dir{"ino"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1}};
-  EXPECT_EQ(daemon.active_backend(), WatcherBackend::kPolling);
-}
-
-TEST(DaemonBackend, EndToEndInvokeOverInotify) {
-  TempDir dir{"ino"};
-  Daemon daemon{DaemonOptions{dir.path(), 1ms, 1, WatcherBackend::kInotify}};
-  ASSERT_TRUE(daemon
-                  .preload(std::make_shared<FunctionModule>(
-                      "double",
-                      [](const KeyValueMap& p) -> Result<KeyValueMap> {
-                        auto x = p.get_int("x");
-                        if (!x) return Error{ErrorCode::kInvalidArgument, "x"};
-                        KeyValueMap out;
-                        out.set_int("y", 2 * x.value());
-                        return out;
-                      }))
-                  .is_ok());
-  daemon.start();
-
-  Client client{ClientOptions{dir.path(), 1ms, 5000ms}};
-  KeyValueMap params;
-  params.set_int("x", 21);
-  const auto result = client.invoke("double", params);
-  ASSERT_TRUE(result.is_ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().get_int("y").value(), 42);
 }
 
 }  // namespace

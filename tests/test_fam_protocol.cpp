@@ -125,35 +125,6 @@ TEST(Protocol, BadCacheValueRejected) {
             std::string::npos);
 }
 
-TEST(Protocol, StaleReplyLastSeqRoundTrips) {
-  Record r;
-  r.type = RecordType::kResponse;
-  r.seq = 8;
-  r.module = "echo";
-  r.ok = false;
-  r.error_message = "stale request";
-  r.last_seq = 12;
-  const std::string wire = encode_record(r);
-  EXPECT_NE(wire.find("mcsd.last=12"), std::string::npos);
-  const auto decoded = decode_record(wire).value();
-  EXPECT_EQ(decoded.last_seq, 12u);
-  EXPECT_FALSE(decoded.payload.contains("mcsd.last"));
-}
-
-TEST(Protocol, LastSeqAbsentDefaultsToZero) {
-  Record r;
-  r.type = RecordType::kResponse;
-  r.seq = 9;
-  r.module = "echo";
-  const std::string wire = encode_record(r);
-  EXPECT_EQ(wire.find("mcsd.last"), std::string::npos);
-  EXPECT_EQ(decode_record(wire).value().last_seq, 0u);
-  // Requests never carry it, even when set by mistake.
-  Record req = sample_request();
-  req.last_seq = 5;
-  EXPECT_EQ(encode_record(req).find("mcsd.last"), std::string::npos);
-}
-
 TEST(Protocol, PayloadWithReservedLookingValuesSurvives) {
   Record r = sample_request();
   r.payload.set("tricky", "mcsd.type=response\nmcsd.seq=999");
@@ -245,8 +216,8 @@ TEST(ProtocolRev2, ServingFieldsRoundTrip) {
 }
 
 TEST(ProtocolRev2, LegacyRecordsStayRevOne) {
-  // A record without serving fields encodes without the rev-2 keys, so
-  // rev-1 daemons/clients parse it untouched.
+  // A record without serving fields encodes without their keys, and the
+  // absent keys decode as zero / empty.
   const std::string wire = encode_record(sample_request());
   EXPECT_EQ(wire.find("mcsd.client"), std::string::npos);
   EXPECT_EQ(wire.find("mcsd.tenant"), std::string::npos);

@@ -102,7 +102,7 @@ std::shared_ptr<fam::Module> make_stringmatch_module(std::size_t workers) {
 
 struct StackFixture : ::testing::Test {
   StackFixture()
-      : daemon(fam::DaemonOptions{shared.path(), 1ms, 2}),
+      : daemon(fam::DaemonOptions{shared.path(), 2}),
         client(fam::ClientOptions{shared.path(), 1ms, 30'000ms}) {}
 
   TempDir shared{"mcsd-int"};  // stands in for the NFS export

@@ -119,7 +119,7 @@ TEST(ObsIntegration, TracedOffloadRunExportsAllThreeLayers) {
   ObsEnabledGuard guard;
   TempDir shared{"obs-fam"};
 
-  fam::Daemon daemon{fam::DaemonOptions{shared.path(), 1ms, 1}};
+  fam::Daemon daemon{fam::DaemonOptions{shared.path(), 1}};
   ASSERT_TRUE(
       daemon
           .preload(std::make_shared<fam::FunctionModule>(

@@ -31,7 +31,7 @@ std::map<std::string, std::uint64_t> to_map(
 /// A live McSD endpoint: shared folder + daemon with standard modules.
 struct LiveSd {
   explicit LiveSd(std::size_t cores)
-      : daemon(fam::DaemonOptions{dir.path(), 1ms,
+      : daemon(fam::DaemonOptions{dir.path(),
                                   std::max<std::size_t>(cores, 1)}) {
     EXPECT_TRUE(apps::preload_standard_modules(
                     [this](auto m) { return daemon.preload(std::move(m)); },
@@ -162,7 +162,7 @@ TEST_F(RuntimeFixture, ShardFilesAreCleanedUp) {
   runtime->force_placement(Placement::kStorageNode);
   ASSERT_TRUE(runtime->word_count(text).is_ok());
   // Only the module log files remain in each shared folder, apart from
-  // the daemon's rev-2 channel fixtures (shard mailboxes, reply files,
+  // the daemon's channel fixtures (shard mailboxes, reply files,
   // manifest) which live for the daemon's lifetime.
   for (const auto* sd : {sd1.get(), sd2.get()}) {
     for (const auto& entry :
@@ -186,7 +186,7 @@ TEST(RuntimeFaultTolerance, DeadNodeShardRecomputesOnHost) {
   {
     // Preload creates the log file so the client accepts the endpoint,
     // but no daemon is started — every invoke against it times out.
-    fam::Daemon ghost{fam::DaemonOptions{dead_dir.path(), 1ms, 1}};
+    fam::Daemon ghost{fam::DaemonOptions{dead_dir.path(), 1}};
     ASSERT_TRUE(apps::preload_standard_modules(
                     [&ghost](auto m) { return ghost.preload(std::move(m)); },
                     2)
@@ -218,7 +218,7 @@ TEST(RuntimeFaultTolerance, DisabledFallbackPropagatesFailure) {
   LiveSd alive{2};
   TempDir dead_dir{"rt-dead"};
   {
-    fam::Daemon ghost{fam::DaemonOptions{dead_dir.path(), 1ms, 1}};
+    fam::Daemon ghost{fam::DaemonOptions{dead_dir.path(), 1}};
     ASSERT_TRUE(apps::preload_standard_modules(
                     [&ghost](auto m) { return ghost.preload(std::move(m)); },
                     2)

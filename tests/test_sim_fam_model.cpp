@@ -56,7 +56,7 @@ TEST(FamModel, ScenarioConstantIsConservative) {
 // 1 ms when no watch event wakes them first.
 double measure_noop_round_trip(std::chrono::milliseconds drain_interval) {
   TempDir dir{"fammodel"};
-  fam::DaemonOptions daemon_options{dir.path(), 2ms, 1};
+  fam::DaemonOptions daemon_options{dir.path(), 1};
   daemon_options.drain_interval = drain_interval;
   fam::Daemon daemon{daemon_options};
   EXPECT_TRUE(daemon

@@ -12,7 +12,7 @@ printf 'a,1\nb,2\nc,3\n' > "$WORK/t.csv"
 
 # Daemon options come from a config file (--dir stays a flag override);
 # hold the daemon's stdin open with a fifo so it keeps serving.
-printf 'poll_interval_ms=2\ndispatch_threads=2\n' > "$WORK/daemon.conf"
+printf 'drain_interval_ms=2\ndispatch_threads=2\nchannel_shards=4\n' > "$WORK/daemon.conf"
 mkfifo "$WORK/ctl"
 "$BIN_DIR/mcsd_daemon" --dir "$WORK" --config "$WORK/daemon.conf" \
     --trace-out "$WORK/daemon-trace.json" < "$WORK/ctl" &
@@ -42,7 +42,7 @@ if "$BIN_DIR/mcsd_invoke" --dir "$WORK" --module ghost 2>/dev/null; then
 fi
 
 # A bad config key fails loudly (typos must not run defaults).
-printf 'pol_interval_ms=2\n' > "$WORK/bad.conf"
+printf 'drian_interval_ms=2\n' > "$WORK/bad.conf"
 if "$BIN_DIR/mcsd_daemon" --dir "$WORK" --config "$WORK/bad.conf" \
     < /dev/null 2>/dev/null; then
   echo "bad config unexpectedly accepted"; exit 1

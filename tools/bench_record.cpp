@@ -777,11 +777,6 @@ void run_cache_suite(bench::TrajectoryEntry& entry,
 
   fam::DaemonOptions daemon_options;
   daemon_options.log_dir = log_dir;
-  // inotify (the paper's FAM) keeps the hit path's floor at the channel
-  // write+wake, not a polling interval; falls back to polling where
-  // unavailable and the backend actually used is recorded below.
-  daemon_options.backend = fam::WatcherBackend::kInotify;
-  daemon_options.poll_interval = std::chrono::milliseconds{1};
   daemon_options.dispatch_threads = 2;
   // Pool sized to hold the whole universe: warm misses must pay compute,
   // not eviction-induced reloads.
@@ -898,10 +893,6 @@ void run_cache_suite(bench::TrajectoryEntry& entry,
 
   const double cold_p50 = percentile_ms(cold_s, 50.0);
   const double hit_p50 = percentile_ms(hit_s, 50.0);
-  entry.add_field("backend",
-                  daemon.active_backend() == fam::WatcherBackend::kInotify
-                      ? "\"inotify\""
-                      : "\"polling\"");
   entry.add_number("cold_p50_ms", cold_p50, 3);
   entry.add_number("cold_p99_ms", percentile_ms(cold_s, 99.0), 3);
   entry.add_number("warm_miss_p50_ms", percentile_ms(miss_s, 50.0), 3);
@@ -989,26 +980,21 @@ ServeArmResult run_serve_arm(fam::Client& client,
   return arm;
 }
 
-// Suite `serve` measures the rev-2 sharded mailbox channel against the
-// rev-1 single-log baseline at high client concurrency (ROADMAP item 2):
-// 64 client threads, the same cacheable wordcount asks, two arms on two
-// daemons — sharded mailboxes vs force_legacy single-record logs.  The
-// headline is invoke throughput (rps) and its ratio, plus p50/p99,
-// coalesce rate, and the exactly-once ledger (responses_lost /
-// responses_duplicated must both be 0).  A third phase points the
-// sharded clients at a daemon with a tiny admission bound so every
-// client eats typed backpressure — its p99 shows the retry-after +
-// jittered backoff keeping tail latency bounded rather than collapsing
-// into timeouts.
+// Suite `serve` measures the sharded mailbox channel at high client
+// concurrency: 64 client threads sending the same cacheable wordcount
+// asks.  The headline is invoke throughput (rps) plus p50/p99, coalesce
+// rate, and the exactly-once ledger (responses_lost /
+// responses_duplicated must both be 0).  A second phase points the
+// clients at a daemon with a tiny admission bound so every client eats
+// typed backpressure — its p99 shows the retry-after + jittered backoff
+// keeping tail latency bounded rather than collapsing into timeouts.
 void run_serve_suite(bench::TrajectoryEntry& entry,
-                     bench::TrajectoryEntry& baseline,
                      const std::vector<std::size_t>& worker_counts,
                      std::uint64_t bytes, int reps) {
   constexpr int kClients = 64;
   constexpr std::size_t kUniverse = 4;
   const std::size_t workers = worker_counts.empty() ? 2 : worker_counts.back();
-  const int sharded_invokes = std::max(reps, 1) * 25;
-  const int legacy_invokes = std::max(std::max(reps, 1) * 25 / 8, 2);
+  const int invokes = std::max(reps, 1) * 25;
 
   TempDir dir{"bench-serve"};
   const auto data_dir = dir / "data";
@@ -1032,7 +1018,6 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
       -> std::unique_ptr<fam::Daemon> {
     fam::DaemonOptions options;
     options.log_dir = log_dir;
-    options.poll_interval = std::chrono::milliseconds{1};
     options.dispatch_threads = 4;
     options.channel_shards = shards;
     options.admission_queue_limit = queue_limit;
@@ -1046,25 +1031,22 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
     daemon->start();
     return daemon;
   };
-  const auto make_client = [&](const std::filesystem::path& log_dir,
-                               bool force_legacy) {
+  const auto make_client = [&](const std::filesystem::path& log_dir) {
     fam::ClientOptions options;
     options.log_dir = log_dir;
     options.poll_interval = std::chrono::milliseconds{1};
     options.timeout = std::chrono::milliseconds{120'000};
-    options.force_legacy = force_legacy;
     return fam::Client{options};
   };
 
-  // Arm 1: the sharded mailbox channel at 64 clients.
+  // Phase 1: the mailbox channel at 64 clients.
   {
     auto daemon = make_daemon(dir / "logs-sharded", 8, 256);
     if (!daemon) return;
-    auto client = make_client(dir / "logs-sharded", false);
+    auto client = make_client(dir / "logs-sharded");
     ServeArmResult arm =
-        run_serve_arm(client, inputs, workers, kClients, sharded_invokes);
+        run_serve_arm(client, inputs, workers, kClients, invokes);
     daemon->stop();
-    const std::uint64_t handled = daemon->requests_handled();
     const double rps =
         arm.wall_seconds > 0.0
             ? static_cast<double>(arm.successes) / arm.wall_seconds
@@ -1086,36 +1068,9 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
     entry.add_field("coalesced_total", std::to_string(daemon->coalesced()));
     entry.add_field("batches_run", std::to_string(daemon->batches_run()));
     entry.add_field("channel", "\"sharded\"");
-
-    // Arm 2: the rev-1 single-log baseline — same workload, force_legacy
-    // clients against a shard-less daemon.  Invokes per client are scaled
-    // down (the single-record channel serialises per module); throughput
-    // is a rate, so the ratio stays honest.
-    auto legacy_daemon = make_daemon(dir / "logs-legacy", 0, 256);
-    if (!legacy_daemon) return;
-    auto legacy_client = make_client(dir / "logs-legacy", true);
-    ServeArmResult legacy = run_serve_arm(legacy_client, inputs, workers,
-                                          kClients, legacy_invokes);
-    legacy_daemon->stop();
-    const double legacy_rps =
-        legacy.wall_seconds > 0.0
-            ? static_cast<double>(legacy.successes) / legacy.wall_seconds
-            : 0.0;
-    baseline.add_field("clients", std::to_string(kClients));
-    baseline.add_number("throughput_rps", legacy_rps, 1);
-    baseline.add_number("serve_p50_ms",
-                        percentile_ms(legacy.latencies_s, 50.0), 3);
-    baseline.add_number("serve_p99_ms",
-                        percentile_ms(legacy.latencies_s, 99.0), 3);
-    baseline.add_field("responses_lost",
-                       std::to_string(legacy.invokes - legacy.successes));
-    baseline.add_field("channel", "\"single-log\"");
-    entry.add_number("speedup_vs_single_log",
-                     legacy_rps > 0.0 ? rps / legacy_rps : 0.0, 1);
-    (void)handled;
   }
 
-  // Phase 3: backpressure.  A daemon with a 2-batch admission bound and
+  // Phase 2: backpressure.  A daemon with a 2-batch admission bound and
   // an uncacheable module (every ask is its own batch: no coalescing to
   // absorb the herd) forces typed retry-after rejections; the clients'
   // jittered exponential backoff must keep the tail bounded and every
@@ -1123,7 +1078,6 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
   {
     fam::DaemonOptions options;
     options.log_dir = dir / "logs-bp";
-    options.poll_interval = std::chrono::milliseconds{1};
     options.dispatch_threads = 2;
     options.channel_shards = 8;
     options.admission_queue_limit = 2;
@@ -1139,7 +1093,7 @@ void run_serve_suite(bench::TrajectoryEntry& entry,
       return;
     }
     daemon.start();
-    auto client = make_client(options.log_dir, false);
+    auto client = make_client(options.log_dir);
     std::mutex agg;
     std::vector<double> latencies_s;
     std::uint64_t retries = 0;
@@ -1322,13 +1276,6 @@ int main(int argc, char** argv) {
   entry.add_field("suite", "\"" + bench::json_escape(suite) + "\"");
   entry.add_field("corpus_bytes", std::to_string(bytes.value()));
   entry.add_field("reps", std::to_string(reps));
-  // The serve suite records a second labelled entry: the rev-1
-  // single-log baseline the sharded channel is measured against.
-  bench::TrajectoryEntry baseline;
-  baseline.label = entry.label + "-single-log";
-  baseline.add_field("suite", "\"" + bench::json_escape(suite) + "\"");
-  baseline.add_field("corpus_bytes", std::to_string(bytes.value()));
-  baseline.add_field("reps", std::to_string(reps));
   const std::string throttle_spec = cli.option("io-throttle");
   // cache shares storage's 40 MiB/s default: its cold arm models the
   // same busy shared disk the warm tiers rescue the query from.
@@ -1345,7 +1292,7 @@ int main(int argc, char** argv) {
   } else if (suite == "cache") {
     run_cache_suite(entry, worker_counts, bytes.value(), reps, io_throttle);
   } else if (suite == "serve") {
-    run_serve_suite(entry, baseline, worker_counts, bytes.value(), reps);
+    run_serve_suite(entry, worker_counts, bytes.value(), reps);
   } else if (suite == "cluster") {
     const auto nodes = cli.option_int("nodes");
     const auto jobs = cli.option_int("jobs");
@@ -1365,13 +1312,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
                  write.to_string().c_str());
     return 1;
-  }
-  if (suite == "serve") {
-    if (const auto write = bench::append_trajectory(path, baseline); !write) {
-      std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                   write.to_string().c_str());
-      return 1;
-    }
   }
 
   for (const auto& [name, mb_s] : entry.throughput_mb_s) {

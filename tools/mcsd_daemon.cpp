@@ -5,13 +5,13 @@
 // fam::Client) at the same folder from the host, and the paper's Fig. 5
 // message flow runs across real processes/machines.
 //
-//   mcsd_daemon --dir /srv/mcsd --workers 2 [--inotify] [--verbose]
+//   mcsd_daemon --dir /srv/mcsd --workers 2 [--verbose]
 //               [--shards 8] [--queue-limit 256]
 //               [--config daemon.conf] [--trace-out trace.json]
 //
 // `--config` reads a core/config key=value file (log_dir,
-// poll_interval_ms, dispatch_threads, backend, pool_bytes); explicit
-// flags override it.  `--pool-bytes` sizes the daemon's storage-tier
+// dispatch_threads, pool_bytes, channel_shards, ...; see
+// fam::daemon_options_from_config); explicit flags override it.  `--pool-bytes` sizes the daemon's storage-tier
 // buffer pool (units ok, e.g. 128MiB) — corpus pages cached there
 // serve repeat invocations warm.  `--trace-out` writes the obs trace +
 // metrics on shutdown.  Runs until stdin closes or SIGINT.
@@ -47,17 +47,15 @@ int main(int argc, char** argv) {
   cli.add_option("config", "",
                  "core/config file seeding the daemon options");
   cli.add_option("workers", "", "dispatch threads (default 2)");
-  cli.add_option("poll-ms", "", "watcher poll interval, milliseconds");
   cli.add_option("pool-bytes", "",
                  "storage buffer pool capacity (units ok, e.g. 128MiB)");
   cli.add_option("shards", "",
-                 "rev-2 mailbox shards (default 8; 0 serves rev-1 only)");
+                 "request mailbox shards (default 8, at least 1)");
   cli.add_option("queue-limit", "",
                  "admission queue bound in batches (default 256; 0 = "
                  "unbounded)");
   cli.add_option("trace-out", "",
                  "write obs trace JSON + metrics here on shutdown");
-  cli.add_flag("inotify", "use the Linux inotify backend (local FS only)");
   cli.add_flag("verbose", "info-level logging");
   if (Status s = cli.parse(argc, argv); !s) {
     std::fprintf(stderr, "%s\n", s.error().message().c_str());
@@ -102,10 +100,6 @@ int main(int argc, char** argv) {
     options.dispatch_threads = static_cast<std::size_t>(
         std::max<std::int64_t>(cli.option_int("workers").value_or(2), 1));
   }
-  if (!cli.option("poll-ms").empty()) {
-    options.poll_interval = std::chrono::milliseconds{
-        std::max<std::int64_t>(cli.option_int("poll-ms").value_or(2), 1)};
-  }
   if (const std::string pool_spec = cli.option("pool-bytes");
       !pool_spec.empty()) {
     auto bytes = parse_bytes(pool_spec);
@@ -116,16 +110,18 @@ int main(int argc, char** argv) {
     options.pool_bytes = static_cast<std::size_t>(bytes.value());
   }
   if (!cli.option("shards").empty()) {
-    options.channel_shards = static_cast<std::size_t>(
-        std::max<std::int64_t>(cli.option_int("shards").value_or(8), 0));
+    const auto shards = cli.option_int("shards");
+    if (!shards || shards.value() < 1) {
+      std::fprintf(stderr, "--shards must be an integer >= 1, got %s\n",
+                   cli.option("shards").c_str());
+      return 2;
+    }
+    options.channel_shards = static_cast<std::size_t>(shards.value());
   }
   if (!cli.option("queue-limit").empty()) {
     options.admission_queue_limit = static_cast<std::size_t>(
         std::max<std::int64_t>(cli.option_int("queue-limit").value_or(256),
                                0));
-  }
-  if (cli.flag("inotify")) {
-    options.backend = fam::WatcherBackend::kInotify;
   }
   if (options.log_dir.empty()) {
     std::fprintf(stderr, "--dir (or log_dir in --config) is required\n%s",
@@ -142,16 +138,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   daemon.start();
-  std::printf("mcsd_daemon serving %s (%zu worker%s, %s backend, poll %lld "
-              "ms, %zu shard%s)\n",
+  std::printf("mcsd_daemon serving %s (%zu worker%s, %zu shard%s)\n",
               options.log_dir.c_str(), options.dispatch_threads,
               options.dispatch_threads == 1 ? "" : "s",
-              daemon.active_backend() == fam::WatcherBackend::kInotify
-                  ? "inotify"
-                  : "polling",
-              static_cast<long long>(options.poll_interval.count()),
-              options.channel_shards,
-              options.channel_shards == 1 ? "" : "s");
+              daemon.channel_shards(),
+              daemon.channel_shards() == 1 ? "" : "s");
   std::puts("modules: wordcount stringmatch matmul select sort join");
   std::puts("press Ctrl-C (or close stdin) to stop");
 
@@ -166,27 +157,25 @@ int main(int argc, char** argv) {
   std::printf("served %llu request(s), %llu error(s)\n",
               static_cast<unsigned long long>(daemon.requests_handled()),
               static_cast<unsigned long long>(daemon.errors_returned()));
-  if (daemon.channel_shards() != 0) {
-    std::printf("serve: accepted=%llu coalesced=%llu rejected=%llu "
-                "batches=%llu shed=%llu\n",
-                static_cast<unsigned long long>(daemon.accepted()),
-                static_cast<unsigned long long>(daemon.coalesced()),
-                static_cast<unsigned long long>(daemon.rejected()),
-                static_cast<unsigned long long>(daemon.batches_run()),
-                static_cast<unsigned long long>(daemon.deadline_shed()));
-    for (const auto& tenant : daemon.qos_snapshot()) {
-      std::printf("tenant %s: accepted=%llu rejected=%llu coalesced=%llu "
-                  "completed=%llu p50=%llu us p99=%llu us\n",
-                  tenant.tenant.c_str(),
-                  static_cast<unsigned long long>(tenant.accepted),
-                  static_cast<unsigned long long>(tenant.rejected),
-                  static_cast<unsigned long long>(tenant.coalesced),
-                  static_cast<unsigned long long>(tenant.completed),
-                  static_cast<unsigned long long>(
-                      tenant.invoke_us.percentile(0.50)),
-                  static_cast<unsigned long long>(
-                      tenant.invoke_us.percentile(0.99)));
-    }
+  std::printf("serve: accepted=%llu coalesced=%llu rejected=%llu "
+              "batches=%llu shed=%llu\n",
+              static_cast<unsigned long long>(daemon.accepted()),
+              static_cast<unsigned long long>(daemon.coalesced()),
+              static_cast<unsigned long long>(daemon.rejected()),
+              static_cast<unsigned long long>(daemon.batches_run()),
+              static_cast<unsigned long long>(daemon.deadline_shed()));
+  for (const auto& tenant : daemon.qos_snapshot()) {
+    std::printf("tenant %s: accepted=%llu rejected=%llu coalesced=%llu "
+                "completed=%llu p50=%llu us p99=%llu us\n",
+                tenant.tenant.c_str(),
+                static_cast<unsigned long long>(tenant.accepted),
+                static_cast<unsigned long long>(tenant.rejected),
+                static_cast<unsigned long long>(tenant.coalesced),
+                static_cast<unsigned long long>(tenant.completed),
+                static_cast<unsigned long long>(
+                    tenant.invoke_us.percentile(0.50)),
+                static_cast<unsigned long long>(
+                    tenant.invoke_us.percentile(0.99)));
   }
   if (Status s = obs::dump_trace_if_requested(cli.option("trace-out")); !s) {
     std::fprintf(stderr, "cannot write trace: %s\n", s.to_string().c_str());

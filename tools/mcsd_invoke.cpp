@@ -16,7 +16,7 @@
 // stdout still carries only the last response's key=value lines.
 //
 // --concurrency N fans the same request out from N client threads (each
-// sending --repeat times) over the rev-2 sharded channel; stderr gets the
+// sending --repeat times) over the sharded mailbox channel; stderr gets the
 // per-client latency distribution (p50/p90/p99) plus the serving
 // dispositions — how many responses were coalesced into shared module
 // runs and how many typed backpressure rejections the clients absorbed.
@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
     std::uint64_t solo_responses = 0;
     std::uint64_t backpressure_retries = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t sharded = 0;
     std::atomic<int> failures{0};
     std::string last_response;
     std::vector<std::thread> threads;
@@ -145,7 +144,6 @@ int main(int argc, char** argv) {
           backpressure_retries +=
               static_cast<std::uint64_t>(info.backpressure_retries);
           if (info.cache == fam::CacheState::kHit) ++cache_hits;
-          if (info.sharded) ++sharded;
           last_response = one.value().serialize();
         }
       });
@@ -157,11 +155,9 @@ int main(int argc, char** argv) {
     const double p90 = percentile(latencies_ms, 0.90);
     const double p99 = percentile(latencies_ms, 0.99);
     std::fprintf(stderr,
-                 "%zu invokes across %d clients (%s channel): "
+                 "%zu invokes across %d clients: "
                  "p50=%.3f ms p90=%.3f ms p99=%.3f ms\n",
-                 latencies_ms.size(), concurrency,
-                 sharded == latencies_ms.size() ? "sharded" : "legacy", p50,
-                 p90, p99);
+                 latencies_ms.size(), concurrency, p50, p90, p99);
     std::fprintf(stderr,
                  "dispositions: coalesced=%llu solo=%llu cache_hits=%llu "
                  "backpressure_retries=%llu\n",

@@ -3,7 +3,7 @@
 // Stands up a live in-process daemon on a scratch folder, then hammers it
 // with N concurrent Client::invoke workers *and* a pipelined out-of-core
 // job while core/fault injects EIO, torn/short writes, delayed renames,
-// ENOSPC and suppressed watcher events on a seed-scheduled plan.  Three
+// ENOSPC and suppressed inotify events on a seed-scheduled plan.  Three
 // invariants are asserted, per the channel's fault model (DESIGN.md):
 //
 //   1. Every accepted invoke finishes with exactly one response — a
@@ -15,9 +15,9 @@
 //   3. The out-of-core job's merged output stays byte-identical to the
 //      fault-free baseline (ChunkedFileReader's refill retry at work).
 //
-//   mcsd_soak --seed 1..5 --faults default --backend both
+//   mcsd_soak --seed 1..5 --faults default
 //             [--clients 4] [--invokes 6] [--timeout-ms 300]
-//             [--attempts 5] [--poll-ms 2] [--ooc-bytes 256K]
+//             [--attempts 5] [--shards 8] [--ooc-bytes 256K]
 //             [--reinvoke N] [--zipf N] [--report soak.json] [--verbose]
 //
 // `--reinvoke N` adds a storage-tier phase: the same out-of-core
@@ -34,7 +34,7 @@
 // re-asked: the response must NOT be a hit on the old entry — the
 // identity change must have invalidated it.
 //
-// Exit status: 0 when every run of every seed/backend held all three
+// Exit status: 0 when every seed's run held all three
 // invariants, 1 otherwise (violations are listed on stderr and in the
 // --report JSON).
 #include <algorithm>
@@ -70,14 +70,12 @@ struct SoakConfig {
   std::string faults_spec = "default";
   int clients = 4;
   int invokes = 6;
-  std::vector<fam::WatcherBackend> backends;
   std::chrono::milliseconds timeout{300};
   int attempts = 5;
-  std::chrono::milliseconds daemon_poll{2};
   std::uint64_t ooc_bytes = 256 * 1024;
   int reinvoke = 0;
   int zipf = 0;
-  /// Sharded mailbox count for the daemon (0 pins the rev-1 channel).
+  /// Mailbox shard count for the daemon (>= 1).
   int shards = 8;
   std::string report_path;
   bool verbose = false;
@@ -85,14 +83,11 @@ struct SoakConfig {
 
 struct RunStats {
   std::uint64_t seed = 0;
-  std::string backend;
   std::uint64_t invokes_total = 0;
   std::uint64_t successes = 0;
   std::map<std::string, std::uint64_t> error_codes;
   std::uint64_t daemon_requests = 0;
   std::uint64_t daemon_errors = 0;
-  std::uint64_t response_conflicts = 0;
-  std::uint64_t stale_replies = 0;
   std::uint64_t dropped_on_shutdown = 0;
   std::uint64_t faults_injected = 0;
   std::vector<std::pair<std::string, std::string>> fault_detail;
@@ -105,7 +100,7 @@ struct RunStats {
   std::uint64_t zipf_hits_verified = 0;
   bool zipf_invalidation_observed = false;
   double wall_seconds = 0.0;
-  // Rev-2 serving-tier counters (all 0 when --shards 0).
+  // Serving-tier counters.
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t coalesced = 0;
@@ -219,21 +214,14 @@ bool allowed_error(ErrorCode code) {
   }
 }
 
-const char* backend_name(fam::WatcherBackend backend) {
-  return backend == fam::WatcherBackend::kInotify ? "inotify" : "polling";
-}
-
-RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
-                  const SoakConfig& config) {
+RunStats run_soak(std::uint64_t seed, const SoakConfig& config) {
   RunStats stats;
   stats.seed = seed;
-  stats.backend = backend_name(backend);
   std::mutex stats_mutex;
   const auto violation = [&](std::string what) {
     std::lock_guard lock{stats_mutex};
-    std::fprintf(stderr, "[soak seed=%llu %s] VIOLATION: %s\n",
-                 static_cast<unsigned long long>(seed),
-                 stats.backend.c_str(), what.c_str());
+    std::fprintf(stderr, "[soak seed=%llu] VIOLATION: %s\n",
+                 static_cast<unsigned long long>(seed), what.c_str());
     stats.violations.push_back(std::move(what));
   };
 
@@ -251,12 +239,9 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
 
   fam::DaemonOptions daemon_options;
   daemon_options.log_dir = log_dir;
-  daemon_options.poll_interval = config.daemon_poll;
   daemon_options.dispatch_threads = 2;
-  daemon_options.backend = backend;
   daemon_options.channel_shards = static_cast<std::size_t>(config.shards);
   fam::Daemon daemon{daemon_options};
-  stats.backend = backend_name(daemon.active_backend());  // may have fallen back
   // Modules share the daemon's pool, exactly as the deployable daemon
   // wires them — repeat invocations over one corpus run warm.
   for (auto module :
@@ -274,9 +259,9 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
   client_options.poll_interval = std::chrono::milliseconds{1};
   client_options.timeout = config.timeout;
   client_options.max_attempts = config.attempts;
-  // Two Client instances sharing the module logs: their per-module
-  // serialisation is process-local, so cross-client seq collisions (the
-  // multi-host scenario) happen naturally under load.
+  // Two Client instances sharing one folder, as two hosts would: each
+  // owns its slots and seq spaces, and their requests interleave in the
+  // same mailboxes.
   fam::Client client_a{client_options};
   fam::Client client_b{client_options};
   fam::Client* const client_pool[2] = {&client_a, &client_b};
@@ -338,10 +323,9 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
     while (!done.load(std::memory_order_relaxed)) {
       if (elapsed.elapsed() > std::chrono::milliseconds{global_budget}) {
         std::fprintf(stderr,
-                     "[soak seed=%llu %s] WEDGED: still running after %llu "
+                     "[soak seed=%llu] WEDGED: still running after %llu "
                      "ms; aborting\n",
                      static_cast<unsigned long long>(seed),
-                     stats.backend.c_str(),
                      static_cast<unsigned long long>(global_budget));
         std::_Exit(3);
       }
@@ -391,9 +375,8 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
                 stats.violations.push_back(
                     load.module + " payload mismatch: " + key + "=" + got +
                     ", fault-free run said " + want);
-                std::fprintf(stderr, "[soak seed=%llu %s] VIOLATION: %s\n",
+                std::fprintf(stderr, "[soak seed=%llu] VIOLATION: %s\n",
                              static_cast<unsigned long long>(seed),
-                             stats.backend.c_str(),
                              stats.violations.back().c_str());
               }
             }
@@ -576,9 +559,8 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
                     "zipf hit diverged from the miss that populated it "
                     "(rank " + std::to_string(rank) + ", epoch " +
                     std::to_string(info.cache_epoch) + ")");
-                std::fprintf(stderr, "[soak seed=%llu %s] VIOLATION: %s\n",
+                std::fprintf(stderr, "[soak seed=%llu] VIOLATION: %s\n",
                              static_cast<unsigned long long>(seed),
-                             stats.backend.c_str(),
                              stats.violations.back().c_str());
               }
             }
@@ -619,10 +601,9 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
               // Every post-mutation attempt drowned in channel faults —
               // rare, but not an invalidation failure.
               std::fprintf(stderr,
-                           "[soak seed=%llu %s] note: mutation check "
+                           "[soak seed=%llu] note: mutation check "
                            "inconclusive (channel faults)\n",
-                           static_cast<unsigned long long>(seed),
-                           stats.backend.c_str());
+                           static_cast<unsigned long long>(seed));
             }
           }
         }
@@ -642,8 +623,6 @@ RunStats run_soak(std::uint64_t seed, fam::WatcherBackend backend,
   daemon.stop();
   stats.daemon_requests = daemon.requests_handled();
   stats.daemon_errors = daemon.errors_returned();
-  stats.response_conflicts = daemon.response_conflicts();
-  stats.stale_replies = daemon.stale_replies();
   stats.dropped_on_shutdown = daemon.dropped_on_shutdown();
   stats.accepted = daemon.accepted();
   stats.rejected = daemon.rejected();
@@ -688,8 +667,8 @@ std::string report_json(const std::vector<RunStats>& runs,
                      "\",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunStats& r = runs[i];
-    json += "    {\"seed\": " + std::to_string(r.seed) + ", \"backend\": \"" +
-            r.backend + "\", \"invokes\": " + std::to_string(r.invokes_total) +
+    json += "    {\"seed\": " + std::to_string(r.seed) +
+            ", \"invokes\": " + std::to_string(r.invokes_total) +
             ", \"successes\": " + std::to_string(r.successes) +
             ", \"ooc_runs\": " + std::to_string(r.ooc_runs) +
             ", \"reinvokes\": " + std::to_string(r.reinvokes) +
@@ -705,9 +684,6 @@ std::string report_json(const std::vector<RunStats>& runs,
             (r.zipf_invalidation_observed ? "true" : "false") +
             ", \"daemon_requests\": " + std::to_string(r.daemon_requests) +
             ", \"daemon_errors\": " + std::to_string(r.daemon_errors) +
-            ", \"response_conflicts\": " +
-            std::to_string(r.response_conflicts) +
-            ", \"stale_replies\": " + std::to_string(r.stale_replies) +
             ", \"dropped_on_shutdown\": " +
             std::to_string(r.dropped_on_shutdown) +
             ", \"faults_injected\": " + std::to_string(r.faults_injected) +
@@ -788,10 +764,8 @@ int main(int argc, char** argv) {
                  "fault plan: default, none, inline spec, or a plan file");
   cli.add_option("clients", "4", "concurrent invoke workers");
   cli.add_option("invokes", "6", "invokes per worker");
-  cli.add_option("backend", "both", "polling, inotify, or both");
   cli.add_option("timeout-ms", "300", "per-attempt invoke timeout");
   cli.add_option("attempts", "5", "invoke attempts before a typed failure");
-  cli.add_option("poll-ms", "2", "daemon watcher poll interval");
   cli.add_option("ooc-bytes", "256K", "out-of-core input size");
   cli.add_option("reinvoke", "0",
                  "re-run the same out-of-core job N more times against the "
@@ -799,8 +773,7 @@ int main(int argc, char** argv) {
   cli.add_option("zipf", "0",
                  "run N zipf(1.0)-skewed repeated invokes over distinct "
                  "corpus files (result-cache identity + invalidation check)");
-  cli.add_option("shards", "8",
-                 "daemon mailbox shards (0 pins the rev-1 channel)");
+  cli.add_option("shards", "8", "daemon mailbox shards (at least 1)");
   cli.add_option("report", "", "write a JSON soak report here");
   cli.add_flag("verbose", "log every failed attempt");
   if (Status s = cli.parse(argc, argv); !s) {
@@ -832,8 +805,6 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(cli.option_int("timeout-ms").value_or(300), 10)};
   config.attempts = static_cast<int>(
       std::max<std::int64_t>(cli.option_int("attempts").value_or(5), 1));
-  config.daemon_poll = std::chrono::milliseconds{
-      std::max<std::int64_t>(cli.option_int("poll-ms").value_or(2), 1)};
   config.ooc_bytes =
       std::max<std::uint64_t>(cli.option_bytes("ooc-bytes").value_or(256 * 1024),
                               4 * 1024);
@@ -841,22 +812,15 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(cli.option_int("reinvoke").value_or(0), 0));
   config.zipf = static_cast<int>(
       std::max<std::int64_t>(cli.option_int("zipf").value_or(0), 0));
-  config.shards = static_cast<int>(
-      std::max<std::int64_t>(cli.option_int("shards").value_or(8), 0));
-  config.report_path = cli.option("report");
-  config.verbose = cli.flag("verbose");
-  const std::string backend = cli.option("backend");
-  if (backend == "both") {
-    config.backends = {fam::WatcherBackend::kPolling,
-                       fam::WatcherBackend::kInotify};
-  } else if (backend == "polling") {
-    config.backends = {fam::WatcherBackend::kPolling};
-  } else if (backend == "inotify") {
-    config.backends = {fam::WatcherBackend::kInotify};
-  } else {
-    std::fprintf(stderr, "--backend must be polling, inotify or both\n");
+  const auto shards = cli.option_int("shards");
+  if (!shards || shards.value() < 1) {
+    std::fprintf(stderr, "--shards must be an integer >= 1, got %s\n",
+                 cli.option("shards").c_str());
     return 2;
   }
+  config.shards = static_cast<int>(shards.value());
+  config.report_path = cli.option("report");
+  config.verbose = cli.flag("verbose");
   // Sanity-check the plan up front so a typo fails fast, not mid-soak.
   if (auto plan = fault::FaultPlan::from_spec(config.faults_spec); !plan) {
     std::fprintf(stderr, "bad --faults: %s\n",
@@ -869,37 +833,32 @@ int main(int argc, char** argv) {
   std::vector<RunStats> runs;
   std::size_t total_violations = 0;
   for (const std::uint64_t seed : config.seeds) {
-    for (const fam::WatcherBackend be : config.backends) {
-      RunStats stats = run_soak(seed, be, config);
-      std::printf(
-          "seed=%llu backend=%s: %llu invokes (%llu ok), %llu faults "
-          "injected, %llu conflicts, %llu stale replies, %llu ooc runs, "
-          "%llu reinvokes (%llu pool hits, %llu cache hits), %llu zipf "
-          "(%llu hits, %llu verified), serve[acc=%llu rej=%llu coal=%llu "
-          "bp=%llu shed=%llu], %.1fs — %s\n",
-          static_cast<unsigned long long>(stats.seed), stats.backend.c_str(),
-          static_cast<unsigned long long>(stats.invokes_total),
-          static_cast<unsigned long long>(stats.successes),
-          static_cast<unsigned long long>(stats.faults_injected),
-          static_cast<unsigned long long>(stats.response_conflicts),
-          static_cast<unsigned long long>(stats.stale_replies),
-          static_cast<unsigned long long>(stats.ooc_runs),
-          static_cast<unsigned long long>(stats.reinvokes),
-          static_cast<unsigned long long>(stats.reinvoke_pool_hits),
-          static_cast<unsigned long long>(stats.reinvoke_cache_hits),
-          static_cast<unsigned long long>(stats.zipf_invokes),
-          static_cast<unsigned long long>(stats.zipf_hits),
-          static_cast<unsigned long long>(stats.zipf_hits_verified),
-          static_cast<unsigned long long>(stats.accepted),
-          static_cast<unsigned long long>(stats.rejected),
-          static_cast<unsigned long long>(stats.coalesced),
-          static_cast<unsigned long long>(stats.backpressure_retries),
-          static_cast<unsigned long long>(stats.deadline_shed),
-          stats.wall_seconds,
-          stats.violations.empty() ? "OK" : "VIOLATIONS");
-      total_violations += stats.violations.size();
-      runs.push_back(std::move(stats));
-    }
+    RunStats stats = run_soak(seed, config);
+    std::printf(
+        "seed=%llu: %llu invokes (%llu ok), %llu faults injected, %llu "
+        "reply conflicts, %llu ooc runs, %llu reinvokes (%llu pool hits, "
+        "%llu cache hits), %llu zipf (%llu hits, %llu verified), "
+        "serve[acc=%llu rej=%llu coal=%llu bp=%llu shed=%llu], %.1fs — %s\n",
+        static_cast<unsigned long long>(stats.seed),
+        static_cast<unsigned long long>(stats.invokes_total),
+        static_cast<unsigned long long>(stats.successes),
+        static_cast<unsigned long long>(stats.faults_injected),
+        static_cast<unsigned long long>(stats.reply_conflicts),
+        static_cast<unsigned long long>(stats.ooc_runs),
+        static_cast<unsigned long long>(stats.reinvokes),
+        static_cast<unsigned long long>(stats.reinvoke_pool_hits),
+        static_cast<unsigned long long>(stats.reinvoke_cache_hits),
+        static_cast<unsigned long long>(stats.zipf_invokes),
+        static_cast<unsigned long long>(stats.zipf_hits),
+        static_cast<unsigned long long>(stats.zipf_hits_verified),
+        static_cast<unsigned long long>(stats.accepted),
+        static_cast<unsigned long long>(stats.rejected),
+        static_cast<unsigned long long>(stats.coalesced),
+        static_cast<unsigned long long>(stats.backpressure_retries),
+        static_cast<unsigned long long>(stats.deadline_shed),
+        stats.wall_seconds, stats.violations.empty() ? "OK" : "VIOLATIONS");
+    total_violations += stats.violations.size();
+    runs.push_back(std::move(stats));
   }
 
   if (!config.report_path.empty()) {
