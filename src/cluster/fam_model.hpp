@@ -3,8 +3,8 @@
 // The scenario models fold the whole host→SD→host invocation into one
 // `fam_invocation_seconds` constant.  This module derives that constant
 // from first principles, stage by stage, so the abstraction can be
-// checked (tests compare it against the real round trip measured by
-// bench_micro_fam) and so the NFS deployment question the paper skips
+// checked (tests compare it against a real daemon round trip) and so
+// the NFS deployment question the paper skips
 // can be answered quantitatively:
 //
 //   host: encode + write request          (CPU + disk/NFS write)

@@ -1,30 +1,9 @@
 #include "core/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace mcsd {
-
-void RunningStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) {
@@ -37,30 +16,6 @@ double percentile(std::vector<double> values, double q) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  if (buckets == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram needs hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::pair<double, double> Histogram::bucket_range(std::size_t bucket) const {
-  if (bucket >= counts_.size()) {
-    throw std::out_of_range("Histogram bucket index");
-  }
-  const double lo = lo_ + width_ * static_cast<double>(bucket);
-  return {lo, lo + width_};
 }
 
 }  // namespace mcsd

@@ -1,58 +1,12 @@
 // Descriptive statistics for benchmark reporting.
 #pragma once
 
-#include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace mcsd {
 
-/// Streaming mean/variance (Welford) plus min/max.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept;   ///< sample variance
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Percentile of a sample by linear interpolation.  `q` in [0, 1].
 /// Precondition: !values.empty().  Copies and sorts internally.
 double percentile(std::vector<double> values, double q);
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// edge buckets.  Used by the simulator's latency diagnostics.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return counts_.size();
-  }
-  [[nodiscard]] std::size_t count_in(std::size_t bucket) const {
-    return counts_.at(bucket);
-  }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// [lo, hi) bounds of a bucket.
-  [[nodiscard]] std::pair<double, double> bucket_range(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace mcsd

@@ -132,12 +132,11 @@ Result<std::shared_ptr<File>> BufferManager::open_file(
       ::close(fd);
       return it->second;  // unchanged: same id, cached pages stay hot
     }
-    // Replaced on disk: stale pages must not serve.
-    if (!drop_file_pages_locked(cached.id_)) {
-      ::close(fd);
-      return Error{ErrorCode::kUnavailable,
-                   "file changed on disk while pages are pinned: " + key};
-    }
+    // Replaced on disk: stale pages must not serve.  The new version
+    // gets a fresh id, so no lookup reaches an old page again; pages a
+    // concurrent reader still pins stay valid for it (their frames hold
+    // the old File) and are reclaimed by eviction once released.
+    drop_file_pages_locked(cached.id_);
     files_.erase(it);
   }
 
@@ -169,11 +168,12 @@ Result<std::shared_ptr<File>> BufferManager::create_file(
   if (it != files_.end()) {
     // Truncated: a previous incarnation's pages are garbage — discard
     // (never write back) rather than resurrect.
-    if (!drop_file_pages_locked(it->second->id_)) {
+    if (file_pages_pinned_locked(it->second->id_)) {
       ::close(fd);
       return Error{ErrorCode::kUnavailable,
                    "spill file recreated while pages are pinned: " + key};
     }
+    drop_file_pages_locked(it->second->id_);
     files_.erase(it);
   }
 
@@ -739,27 +739,33 @@ Status BufferManager::write_frame(const std::shared_ptr<File>& file,
   return last;
 }
 
-bool BufferManager::drop_file_pages_locked(std::uint64_t file_id) {
-  // First pass: refuse if anything of this file is pinned or in flight.
+bool BufferManager::file_pages_pinned_locked(std::uint64_t file_id) const {
   for (const Frame& frame : frames_) {
     if (frame.state == FrameState::kFree) continue;
     if (frame.page.file_id != file_id) continue;
     if (frame.state != FrameState::kReady &&
         frame.state != FrameState::kFailed) {
-      return false;
+      return true;
     }
-    if (frame.pins.load(std::memory_order_acquire) != 0) return false;
+    if (frame.pins.load(std::memory_order_acquire) != 0) return true;
   }
+  return false;
+}
+
+void BufferManager::drop_file_pages_locked(std::uint64_t file_id) {
   for (std::uint32_t i = 0; i < frames_.size(); ++i) {
     Frame& frame = frames_[i];
-    if (frame.state == FrameState::kFree) continue;
     if (frame.page.file_id != file_id) continue;
+    if (frame.state != FrameState::kReady &&
+        frame.state != FrameState::kFailed) {
+      continue;
+    }
+    if (frame.pins.load(std::memory_order_acquire) != 0) continue;
     unmap_locked(i);
     frame.dirty = false;  // stale content: discard, never write back
     free_.push_back(i);
     ++evictions_;
   }
-  return true;
 }
 
 void BufferManager::io_loop() {

@@ -210,7 +210,9 @@ class BufferManager {
 
   /// Registers `path` for reading (kNotFound if absent).  Re-opening an
   /// unchanged path returns the same File (same id — cached pages hit);
-  /// a changed one (size/mtime/inode) drops its stale pages first.
+  /// a changed one (size/mtime/inode) gets a fresh File with a new id.
+  /// The old version's unpinned pages are dropped; pages a reader still
+  /// pins stay valid for that reader and are evicted once released.
   Result<std::shared_ptr<File>> open_file(const std::filesystem::path& path);
 
   /// Creates/truncates `path` as a writable spill target.  Any cached
@@ -346,9 +348,12 @@ class BufferManager {
   Status write_frame(const std::shared_ptr<File>& file, std::uint64_t page_no,
                      const char* data, std::size_t len);
 
-  /// Drops every cached page of `file_id`; dirty pages are discarded.
-  /// Caller holds the lock.  Returns false if any page is pinned.
-  bool drop_file_pages_locked(std::uint64_t file_id);
+  /// True if a page of `file_id` is pinned or has I/O in flight.
+  /// Caller holds the lock.
+  bool file_pages_pinned_locked(std::uint64_t file_id) const;
+  /// Drops every cached page of `file_id` that is neither pinned nor in
+  /// flight; dirty pages are discarded.  Caller holds the lock.
+  void drop_file_pages_locked(std::uint64_t file_id);
 
   void io_loop();
 

@@ -55,14 +55,15 @@ again=$("$BIN_DIR/bench_fig9" --csv)
 "$BIN_DIR/bench_des_validation" > /dev/null
 
 # bench_record out-of-core A/B: a tiny run must produce a trajectory file
-# carrying both arms and the residency bound.  CI uploads the JSON as an
-# artifact.
+# carrying both arms, the residency bound and the integrity-check scan
+# evidence.  CI uploads the JSON as an artifact.
 TOOLS_DIR="${2:-$BIN_DIR/../tools}"
 if [ -x "$TOOLS_DIR/bench_record" ]; then
   "$TOOLS_DIR/bench_record" --suite outofcore --bytes 1M --reps 2 \
       --workers 2 --label smoke --out BENCH_outofcore.json > /dev/null
   for needle in outofcore_serial outofcore_pipelined \
-      peak_resident_fragment_bytes pipelined_speedup; do
+      peak_resident_fragment_bytes pipelined_speedup \
+      integrity_scan_bytes_max integrity_checks; do
     grep -q "$needle" BENCH_outofcore.json || {
       echo "BENCH_outofcore.json: missing '$needle'"; exit 1;
     }
@@ -183,5 +184,22 @@ for needle in wordcount_engine wordcount_map_ms wordcount_reduce_ms \
     echo "BENCH_mapreduce.json: missing '$needle'"; exit 1;
   }
 done
+
+# bench_record obs: the obs on/off engine A/B and the per-op hot-path
+# costs (bench_record is the only harness that measures them).
+"$TOOLS_DIR/bench_record" --suite obs --bytes 1M --reps 2 \
+    --workers 1 --label smoke --out BENCH_obs.json > /dev/null
+for needle in obs_overhead_pct obs_counter_ns obs_span_ns; do
+  grep -q "$needle" BENCH_obs.json || {
+    echo "BENCH_obs.json: missing '$needle'"; exit 1;
+  }
+done
+
+# An unknown suite is a usage error (exit 2) and writes nothing.
+rc=0
+"$TOOLS_DIR/bench_record" --suite nosuch --out nosuch.json \
+    > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "--suite nosuch exited $rc, want 2"; exit 1; }
+[ ! -e nosuch.json ] || { echo "--suite nosuch wrote a trajectory"; exit 1; }
 
 echo "bench smoke test passed"

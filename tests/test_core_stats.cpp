@@ -7,32 +7,6 @@
 namespace mcsd {
 namespace {
 
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, KnownSample) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 4.571428, 1e-5);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-}
-
 TEST(Percentile, InterpolatesLinearly) {
   std::vector<double> v{10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
@@ -48,32 +22,6 @@ TEST(Percentile, ClampsQ) {
 
 TEST(Percentile, ThrowsOnEmpty) {
   EXPECT_THROW(percentile({}, 0.5), std::invalid_argument);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(0.5);    // bucket 0
-  h.add(9.9);    // bucket 4
-  h.add(-100);   // clamps to 0
-  h.add(100);    // clamps to 4
-  h.add(5.0);    // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count_in(0), 2u);
-  EXPECT_EQ(h.count_in(2), 1u);
-  EXPECT_EQ(h.count_in(4), 2u);
-}
-
-TEST(Histogram, BucketRange) {
-  Histogram h{0.0, 10.0, 5};
-  const auto [lo, hi] = h.bucket_range(2);
-  EXPECT_DOUBLE_EQ(lo, 4.0);
-  EXPECT_DOUBLE_EQ(hi, 6.0);
-  EXPECT_THROW((void)h.bucket_range(5), std::out_of_range);
-}
-
-TEST(Histogram, RejectsDegenerate) {
-  EXPECT_THROW((Histogram{0.0, 0.0, 4}), std::invalid_argument);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
 }
 
 TEST(Table, RendersAlignedBox) {

@@ -6,7 +6,7 @@
 // pages, read-ahead survives until consumed and a scan larger than the
 // pool recycles its own frames, injected read/write faults are retried
 // deterministically, and a file replaced on disk never serves stale
-// pages.
+// pages, even while a reader still pins the old version.
 #include "storage/buffer_manager.hpp"
 
 #include <gtest/gtest.h>
@@ -501,6 +501,61 @@ TEST(BufferManager, ChangedFileOnDiskNeverServesStalePages) {
   ASSERT_TRUE(guard.is_ok());
   EXPECT_EQ(guard.value().bytes().front(), 'n');
   EXPECT_EQ(after.value()->size(), 2 * kFrame);
+}
+
+// A file replaced (by rename, as a corpus swap does) while a concurrent
+// scan still pins a page of the old version: re-opening must not fail.
+// The new version gets a fresh id and its own pages; the old pin keeps
+// reading the old bytes; the old version's unpinned pages go at once
+// and its pinned one is reclaimed after release.
+TEST(BufferManager, ReplacedFileReopensWhileOldPagesArePinned) {
+  TempDir dir{"storage"};
+  const auto path = dir / "swapped.bin";
+  ASSERT_TRUE(write_file(path, patterned(2, 0, 'o')).is_ok());
+
+  BufferManager pool{tiny_pool(4)};
+  auto before = pool.open_file(path);
+  ASSERT_TRUE(before.is_ok());
+  ASSERT_TRUE(pool.pin(before.value(), 1).is_ok());  // resident, unpinned
+  auto old_pin = pool.pin(before.value(), 0);
+  ASSERT_TRUE(old_pin.is_ok());
+  FrameGuard old_guard = std::move(old_pin).value();
+  ASSERT_EQ(pool.stats().resident_frames, 2u);
+
+  ASSERT_TRUE(write_file_atomic(path, patterned(2, 0, 'n')).is_ok());
+
+  auto after = pool.open_file(path);
+  ASSERT_TRUE(after.is_ok()) << after.error().to_string();
+  EXPECT_NE(after.value()->id(), before.value()->id());
+  EXPECT_EQ(pool.stats().resident_frames, 1u)
+      << "the old version's unpinned page must be dropped at once";
+  {
+    auto fresh = pool.pin(after.value(), 0);
+    ASSERT_TRUE(fresh.is_ok());
+    EXPECT_EQ(fresh.value().bytes().front(), 'n');
+    EXPECT_EQ(old_guard.bytes().front(), 'o');
+    EXPECT_EQ(pool.stats().pinned_frames, 2u);
+  }
+
+  // Re-opening the unchanged new version keeps its identity.
+  auto again = pool.open_file(path);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again.value()->id(), after.value()->id());
+
+  // Released, the old page is ordinary eviction fodder: a full pool's
+  // worth of new pins reclaims its frame.
+  old_guard.release();
+  EXPECT_EQ(pool.stats().pinned_frames, 0u);
+  ASSERT_TRUE(write_file(dir / "other.bin", patterned(4)).is_ok());
+  auto other = pool.open_file(dir / "other.bin");
+  ASSERT_TRUE(other.is_ok());
+  std::vector<FrameGuard> held;
+  for (std::uint64_t p = 0; p < 4; ++p) {
+    auto guard = pool.pin(other.value(), p);
+    ASSERT_TRUE(guard.is_ok()) << "page " << p;
+    held.push_back(std::move(guard).value());
+  }
+  EXPECT_EQ(pool.stats().pinned_frames, 4u);
 }
 
 TEST(BufferManager, InjectedReadFaultsAreRetriedTransparently) {

@@ -2,18 +2,8 @@
 // JSON trajectory file, so successive PRs accumulate a perf history to
 // regress against (the append/splice machinery lives in trajectory.hpp).
 //
-//   bench_record --suite mapreduce   -> BENCH_mapreduce.json (default)
-//   bench_record --suite obs         -> BENCH_obs.json
-//   bench_record --suite outofcore   -> BENCH_outofcore.json
-//   bench_record --suite storage     -> BENCH_outofcore.json (same
-//                                       trajectory: the storage tier is
-//                                       the out-of-core I/O story)
-//   bench_record --suite cache       -> BENCH_fam.json (the serving
-//                                       tier: daemon result cache + warm
-//                                       module state)
-//   bench_record --suite cluster     -> BENCH_cluster.json (the DES
-//                                       cluster scheduling simulator:
-//                                       placement policies head-to-head)
+// The suites, the trajectory file each appends to and each one's default
+// --io-throttle are the rows of kSuites at the bottom of this file.
 //
 // Suite `mapreduce`, all on a generated corpus of --bytes:
 //   * wordcount_sequential  — the single-thread hash-map reference;
@@ -60,7 +50,13 @@
 //   * pipelined_speedup/N    — pipelined over serial throughput;
 //   * peak_resident_fragment_bytes — private fragment text: the
 //     consumer's fragment plus the reader's carry (~1 fragment); the
-//     read-ahead lives in pool frames.
+//     read-ahead lives in pool frames;
+//   * integrity_scan_bytes_max, integrity_checks — the longest forward
+//     scan any record-aligned cut needed and how many cuts were checked
+//     (obs `part.integrity_scan_bytes` / `part.integrity_checks`): the
+//     integrity check costs O(record length), not O(fragment).  Only the
+//     serial arm's in-memory partitioner runs the check; the pipelined
+//     reader aligns its cuts in core/io.
 // Both arms read cold-cache and padded to --io-throttle MiB/s (default:
 // the Table-I disk model's 150 MiB/s seq_read), so the I/O:compute ratio
 // matches the storage node being modelled rather than this host's page
@@ -143,6 +139,7 @@
 #include "core/cli.hpp"
 #include "core/io.hpp"
 #include "core/random.hpp"
+#include "core/stats.hpp"
 #include "core/stopwatch.hpp"
 #include "fam/client.hpp"
 #include "fam/daemon.hpp"
@@ -574,6 +571,21 @@ void run_outofcore_suite(bench::TrajectoryEntry& entry,
                              static_cast<double>(fragment_bytes)
                        : 0.0);
   entry.add_number("pipelined_io_wait_ms", metrics.io_wait_seconds * 1e3);
+
+  std::uint64_t integrity_scan_bytes_max = 0;
+  std::uint64_t integrity_checks = 0;
+  const obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
+  for (const auto& h : snapshot.histograms) {
+    if (h.name == "part.integrity_scan_bytes") {
+      integrity_scan_bytes_max = h.data.max;
+    }
+  }
+  for (const auto& c : snapshot.counters) {
+    if (c.name == "part.integrity_checks") integrity_checks = c.value;
+  }
+  entry.add_field("integrity_scan_bytes_max",
+                  std::to_string(integrity_scan_bytes_max));
+  entry.add_field("integrity_checks", std::to_string(integrity_checks));
 }
 
 void run_storage_suite(bench::TrajectoryEntry& entry,
@@ -741,13 +753,11 @@ void run_storage_suite(bench::TrajectoryEntry& entry,
   entry.add_number("io_throttle_mibps", io_throttle_mibps);
 }
 
-/// p-th percentile of `samples` (sorted in place), in milliseconds.
-double percentile_ms(std::vector<double>& samples_seconds, double pct) {
+/// p-th percentile of `samples_seconds` in milliseconds; 0 when there is
+/// no sample (every ask of the arm failed).
+double percentile_ms(const std::vector<double>& samples_seconds, double pct) {
   if (samples_seconds.empty()) return 0.0;
-  std::sort(samples_seconds.begin(), samples_seconds.end());
-  const auto idx = static_cast<std::size_t>(
-      pct / 100.0 * static_cast<double>(samples_seconds.size() - 1) + 0.5);
-  return samples_seconds[std::min(idx, samples_seconds.size() - 1)] * 1e3;
+  return mcsd::percentile(samples_seconds, pct / 100.0) * 1e3;
 }
 
 void run_cache_suite(bench::TrajectoryEntry& entry,
@@ -1216,13 +1226,76 @@ void run_cluster_suite(bench::TrajectoryEntry& entry, std::size_t nodes,
   }
 }
 
+/// Everything a suite's run function may read from the command line.
+struct SuiteArgs {
+  std::vector<std::size_t> worker_counts;
+  std::uint64_t bytes = 0;
+  int reps = 1;
+  double io_throttle_mibps = 0.0;
+  std::size_t nodes = 0;
+  std::size_t jobs = 0;
+};
+
+/// One benchmark suite: its --suite name, the trajectory file it appends
+/// to when --out is not given, and the emulated disk MiB/s its
+/// file-reading arms use when --io-throttle is not given (0 for suites
+/// that read no throttled file).
+struct Suite {
+  const char* name;
+  const char* trajectory;
+  double default_io_throttle_mibps;
+  void (*run)(bench::TrajectoryEntry&, const SuiteArgs&);
+};
+
+// outofcore models the Table-I disk's 150 MiB/s seq_read.  storage and
+// cache model a busy shared disk (40 MiB/s): their cold arms must pay a
+// disk-shaped cost for the warm tiers to rescue.  storage appends to the
+// out-of-core trajectory (warm re-runs are the next chapter of the same
+// I/O story); cache and serve record under fam, the channel's story.
+constexpr Suite kSuites[] = {
+    {"mapreduce", "BENCH_mapreduce.json", 0.0,
+     [](bench::TrajectoryEntry& e, const SuiteArgs& a) {
+       run_mapreduce_suite(e, a.worker_counts, a.bytes, a.reps);
+     }},
+    {"obs", "BENCH_obs.json", 0.0,
+     [](bench::TrajectoryEntry& e, const SuiteArgs& a) {
+       run_obs_suite(e, a.worker_counts, a.bytes, a.reps);
+     }},
+    {"outofcore", "BENCH_outofcore.json", 150.0,
+     [](bench::TrajectoryEntry& e, const SuiteArgs& a) {
+       run_outofcore_suite(e, a.worker_counts, a.bytes, a.reps,
+                           a.io_throttle_mibps);
+     }},
+    {"storage", "BENCH_outofcore.json", 40.0,
+     [](bench::TrajectoryEntry& e, const SuiteArgs& a) {
+       run_storage_suite(e, a.worker_counts, a.bytes, a.reps,
+                         a.io_throttle_mibps);
+     }},
+    {"cache", "BENCH_fam.json", 40.0,
+     [](bench::TrajectoryEntry& e, const SuiteArgs& a) {
+       run_cache_suite(e, a.worker_counts, a.bytes, a.reps,
+                       a.io_throttle_mibps);
+     }},
+    {"serve", "BENCH_fam.json", 0.0,
+     [](bench::TrajectoryEntry& e, const SuiteArgs& a) {
+       run_serve_suite(e, a.worker_counts, a.bytes, a.reps);
+     }},
+    {"cluster", "BENCH_cluster.json", 0.0,
+     [](bench::TrajectoryEntry& e, const SuiteArgs& a) {
+       run_cluster_suite(e, a.nodes, a.jobs);
+     }},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string suite_names;
+  for (const Suite& s : kSuites) {
+    suite_names += (suite_names.empty() ? "" : " | ") + std::string{s.name};
+  }
   CliParser cli;
-  cli.add_option("suite", "mapreduce",
-                 "benchmark suite: mapreduce | obs | outofcore | storage | "
-                 "cache | serve | cluster");
+  cli.add_option("suite", kSuites[0].name,
+                 "benchmark suite: " + suite_names);
   cli.add_option("nodes", "200",
                  "cluster suite: total node count (4:1 SD:host split)");
   cli.add_option("jobs", "5000", "cluster suite: arrival-trace job count");
@@ -1241,14 +1314,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string suite = cli.option("suite");
-  if (suite != "mapreduce" && suite != "obs" && suite != "outofcore" &&
-      suite != "storage" && suite != "cache" && suite != "serve" &&
-      suite != "cluster") {
-    std::fprintf(stderr,
-                 "unknown --suite '%s' (mapreduce | obs | outofcore | "
-                 "storage | cache | serve | cluster)\n",
-                 suite.c_str());
+  const std::string suite_name = cli.option("suite");
+  const Suite* suite = nullptr;
+  for (const Suite& s : kSuites) {
+    if (suite_name == s.name) suite = &s;
+  }
+  if (suite == nullptr) {
+    std::fprintf(stderr, "unknown --suite '%s' (%s)\n", suite_name.c_str(),
+                 suite_names.c_str());
     return 2;
   }
   const auto bytes = cli.option_bytes("bytes");
@@ -1257,56 +1330,32 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad --bytes or --reps\n");
     return 2;
   }
-  const int reps = static_cast<int>(reps64.value());
-  const auto worker_counts = parse_worker_counts(cli.option("workers"));
-  std::string path = cli.option("out");
-  if (path.empty()) {
-    // The storage suite appends to the out-of-core trajectory: warm
-    // re-runs are the next chapter of the same I/O story.  The cache
-    // suite records under fam — the serving tier is the channel's story.
-    path = "BENCH_" +
-           (suite == "storage" ? std::string{"outofcore"}
-            : suite == "cache" || suite == "serve" ? std::string{"fam"}
-                                                   : suite) +
-           ".json";
+  const auto nodes = cli.option_int("nodes");
+  const auto jobs = cli.option_int("jobs");
+  if (!nodes.is_ok() || !jobs.is_ok() || nodes.value() < 2 ||
+      jobs.value() < 1) {
+    std::fprintf(stderr, "bad --nodes or --jobs\n");
+    return 2;
   }
+  const std::string throttle_spec = cli.option("io-throttle");
+  SuiteArgs args;
+  args.worker_counts = parse_worker_counts(cli.option("workers"));
+  args.bytes = bytes.value();
+  args.reps = static_cast<int>(reps64.value());
+  args.io_throttle_mibps =
+      throttle_spec.empty() ? suite->default_io_throttle_mibps
+                            : std::strtod(throttle_spec.c_str(), nullptr);
+  args.nodes = static_cast<std::size_t>(nodes.value());
+  args.jobs = static_cast<std::size_t>(jobs.value());
+  std::string path = cli.option("out");
+  if (path.empty()) path = suite->trajectory;
 
   bench::TrajectoryEntry entry;
   entry.label = cli.option("label");
-  entry.add_field("suite", "\"" + bench::json_escape(suite) + "\"");
-  entry.add_field("corpus_bytes", std::to_string(bytes.value()));
-  entry.add_field("reps", std::to_string(reps));
-  const std::string throttle_spec = cli.option("io-throttle");
-  // cache shares storage's 40 MiB/s default: its cold arm models the
-  // same busy shared disk the warm tiers rescue the query from.
-  const double io_throttle =
-      throttle_spec.empty()
-          ? (suite == "storage" || suite == "cache" ? 40.0 : 150.0)
-          : std::strtod(throttle_spec.c_str(), nullptr);
-  if (suite == "mapreduce") {
-    run_mapreduce_suite(entry, worker_counts, bytes.value(), reps);
-  } else if (suite == "obs") {
-    run_obs_suite(entry, worker_counts, bytes.value(), reps);
-  } else if (suite == "storage") {
-    run_storage_suite(entry, worker_counts, bytes.value(), reps, io_throttle);
-  } else if (suite == "cache") {
-    run_cache_suite(entry, worker_counts, bytes.value(), reps, io_throttle);
-  } else if (suite == "serve") {
-    run_serve_suite(entry, worker_counts, bytes.value(), reps);
-  } else if (suite == "cluster") {
-    const auto nodes = cli.option_int("nodes");
-    const auto jobs = cli.option_int("jobs");
-    if (!nodes.is_ok() || !jobs.is_ok() || nodes.value() < 2 ||
-        jobs.value() < 1) {
-      std::fprintf(stderr, "bad --nodes or --jobs\n");
-      return 2;
-    }
-    run_cluster_suite(entry, static_cast<std::size_t>(nodes.value()),
-                      static_cast<std::size_t>(jobs.value()));
-  } else {
-    run_outofcore_suite(entry, worker_counts, bytes.value(), reps,
-                        io_throttle);
-  }
+  entry.add_field("suite", "\"" + bench::json_escape(suite_name) + "\"");
+  entry.add_field("corpus_bytes", std::to_string(args.bytes));
+  entry.add_field("reps", std::to_string(args.reps));
+  suite->run(entry, args);
 
   if (const auto write = bench::append_trajectory(path, entry); !write) {
     std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
