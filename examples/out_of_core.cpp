@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
   }
   std::printf("   serial:    %.3fs  (io wait %.3fs, %zu fragments)\n",
               serial_s, serial.io_wait_seconds, serial.fragments);
-  std::printf("   pipelined: %.3fs  (io wait %.3fs, peak resident %s "
-              "<= 2 fragments)\n",
+  std::printf("   pipelined: %.3fs  (io wait %.3fs, stitched bytes "
+              "resident %s; the engine maps pool frames in place)\n",
               pipelined_s, pipelined.io_wait_seconds,
               format_bytes(pipelined.peak_resident_fragment_bytes).c_str());
   std::printf("   overlap bought %.1f%%; outputs %s\n",

@@ -9,7 +9,7 @@
 // replay the exact same fault sequence for a given plan.
 //
 // Model: every instrumented operation is a *site* (read_file,
-// write_file_atomic, ChunkedFileReader refill, watcher change events).
+// write_file_atomic, streaming frame acquisition, watcher change events).
 // Each call at a site consumes one step of that site's counter; a
 // FaultPlan maps (site, kind, step) to fire/skip either by an explicit
 // step schedule ("write.torn=@3") or by a seed-hashed Bernoulli draw
@@ -45,7 +45,7 @@ namespace mcsd::fault {
 enum class Site : std::uint8_t {
   kReadFile,      ///< core/io read_file
   kWriteFile,     ///< core/io write_file_atomic
-  kRefill,        ///< ChunkedFileReader buffer refill
+  kRefill,        ///< part::StreamingFragmentSource pin of one frame
   kWatchEvent,    ///< fam watcher change-event delivery
   kStorageRead,   ///< storage buffer pool page load (pread)
   kStorageWrite,  ///< storage buffer pool dirty-page write-back (pwrite)

@@ -185,113 +185,6 @@ Status write_file_atomic(const fs::path& path, std::string_view contents) {
   return Status::ok();
 }
 
-Result<ChunkedFileReader> ChunkedFileReader::open(const fs::path& path,
-                                                  std::size_t buffer_bytes) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    return Error{ErrorCode::kNotFound, "cannot open " + path.string()};
-  }
-  return ChunkedFileReader{std::move(in), path.string(), buffer_bytes};
-}
-
-Result<ChunkedFileReader> ChunkedFileReader::open_with_source(
-    std::shared_ptr<RandomAccessSource> source, std::string name,
-    std::size_t buffer_bytes) {
-  if (!source) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "open_with_source: null source for " + name};
-  }
-  return ChunkedFileReader{std::move(source), std::move(name), buffer_bytes};
-}
-
-Status ChunkedFileReader::fill_once(std::string& out) {
-  if (fault::check(fault::Site::kRefill, path_).kind == fault::Kind::kEio) {
-    return Status{ErrorCode::kIoError, "injected EIO on " + path_};
-  }
-  const std::size_t before = out.size();
-  out.resize(before + buffer_bytes_);
-  if (source_) {
-    auto got = source_->read_at(file_pos_, out.data() + before, buffer_bytes_);
-    if (!got.is_ok()) {
-      out.resize(before);
-      return Status{got.error().code(), got.error().message()};
-    }
-    out.resize(before + got.value());
-    if (got.value() < buffer_bytes_) eof_ = true;  // short read == EOF
-    file_pos_ += static_cast<std::uint64_t>(got.value());
-    return Status::ok();
-  }
-  in_.read(out.data() + before, static_cast<std::streamsize>(buffer_bytes_));
-  const auto got = in_.gcount();
-  out.resize(before + static_cast<std::size_t>(got));
-  if (in_.eof()) {
-    eof_ = true;
-  } else if (!in_) {
-    return Status{ErrorCode::kIoError, "read failed on " + path_};
-  }
-  file_pos_ += static_cast<std::uint64_t>(got);
-  return Status::ok();
-}
-
-Status ChunkedFileReader::fill(std::string& out) {
-  Status last = Status::ok();
-  for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-    const std::size_t before = out.size();
-    last = fill_once(out);
-    if (last.is_ok()) return last;
-    // Transient failure: rewind to the last byte known good and retry.
-    // (Source mode is positioned — file_pos_ never advanced — so only
-    // the ifstream needs its error state cleared and cursor restored.)
-    out.resize(before);
-    if (!source_) {
-      in_.clear();
-      in_.seekg(static_cast<std::streamoff>(file_pos_));
-    }
-  }
-  return last;
-}
-
-Result<bool> ChunkedFileReader::next_fragment(
-    std::uint64_t target_bytes, const std::function<bool(char)>& is_delimiter,
-    std::string& out) {
-  out.clear();
-  std::swap(out, carry_);
-  while (!eof_ && (target_bytes == 0 || out.size() < target_bytes)) {
-    if (Status s = fill(out); !s) return s.error();
-  }
-  if (out.empty()) return false;  // clean end-of-file
-  if (target_bytes == 0 || out.size() < target_bytes) {
-    // The remainder is smaller than one fragment: it becomes the tail
-    // fragment verbatim (partition()'s final-fragment behaviour).
-    next_offset_ += out.size();
-    return true;
-  }
-
-  // Integrity-align the cut at the local draft point, refilling whenever
-  // the scan runs off the buffered data (a record or delimiter run may
-  // span any number of read buffers).
-  std::size_t cut = static_cast<std::size_t>(target_bytes);
-  if (!is_delimiter(out[cut - 1])) {
-    // Walk to the end of the record in progress.
-    for (;;) {
-      while (cut < out.size() && !is_delimiter(out[cut])) ++cut;
-      if (cut < out.size() || eof_) break;
-      if (Status s = fill(out); !s) return s.error();
-    }
-  }
-  // Absorb the trailing delimiter run so the next fragment starts on a
-  // record byte.
-  for (;;) {
-    while (cut < out.size() && is_delimiter(out[cut])) ++cut;
-    if (cut < out.size() || eof_) break;
-    if (Status s = fill(out); !s) return s.error();
-  }
-  carry_.assign(out, cut, out.size() - cut);
-  out.resize(cut);
-  next_offset_ += out.size();
-  return true;
-}
-
 Result<std::uint64_t> file_size(const fs::path& path) {
   std::error_code ec;
   const auto size = fs::file_size(path, ec);

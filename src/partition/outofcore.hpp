@@ -12,13 +12,15 @@
 //  * `run_partitioned` — in-memory input (string_view), fragments are
 //    views produced by partition(); the classic serial chain.
 //  * `run_partitioned_file` — file-backed input streamed through
-//    StreamingFragmentSource: the pages of fragment N+1 are read ahead
-//    into buffer-pool frames by the pool's I/O threads while fragment N
-//    runs through the engine (about one private fragment resident; the
-//    read-ahead lives in the pool), and per-fragment outputs fold into
-//    the running merged result as each fragment retires
-//    (job.incremental_merge), so there is neither a whole-input
-//    materialisation up front nor a single-threaded sort tail at the end.
+//    StreamingFragmentSource: the engine maps views straight into pinned
+//    buffer-pool frames (only records crossing a frame boundary are
+//    copied, into a small stitch buffer), the pages of the next batch are
+//    read ahead into frames by the pool's I/O threads while this one
+//    runs, and per-batch outputs fold into the running merged result as
+//    each batch retires (job.incremental_merge), so there is neither a
+//    whole-input materialisation up front nor a single-threaded sort tail
+//    at the end.  A fragment spanning more frames than the pin window
+//    (a quarter of the pool) runs as several engine batches.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +59,14 @@ struct OutOfCoreMetrics {
                                    ///< fragment I/O (reads hidden behind
                                    ///< compute do not show up here)
   std::uint64_t peak_fragment_footprint_bytes = 0;
-  /// File path: peak bytes of *private* fragment text resident at once
-  /// — the consumer's fragment plus the reader's carry (~1 fragment).
-  /// Pool-frame residency is accounted by the buffer pool, bounded by
-  /// its capacity.
+  /// File path: peak bytes of *private* input resident at once — the
+  /// stitched records of one batch (the engine maps everything else in
+  /// place).  Pool-frame residency is accounted by the buffer pool,
+  /// bounded by its capacity.
   std::uint64_t peak_resident_fragment_bytes = 0;
+  /// File path: engine runs; equals `fragments` unless the pin window
+  /// split a fragment into several batches.
+  std::size_t engine_batches = 0;
   std::uint64_t bytes_streamed = 0;  ///< file path: input bytes delivered
   // Storage-tier activity attributable to this run (file path only):
   // pins served without new disk I/O vs page loads initiated, and frames
@@ -104,10 +109,12 @@ struct TextJob {
   using Pair = mr::KV<typename Spec::Key, typename Spec::Value>;
   using Merge = std::function<std::vector<Pair>(std::vector<std::vector<Pair>>)>;
 
-  /// Chunker: fragment text -> map chunks (defaults to whitespace-aligned
-  /// 256 KiB chunks).  Chunk offsets are fragment-relative; the drivers
-  /// rebase them by the fragment's offset so specs keyed on absolute
-  /// positions (String Match) stay correct across fragments.
+  /// Chunker: record-aligned text -> map chunks (defaults to
+  /// whitespace-aligned 256 KiB chunks).  run_partitioned applies it to
+  /// each fragment, run_partitioned_file to each pinned span.  Chunk
+  /// offsets are relative to the text; the drivers rebase them to file
+  /// offsets so specs keyed on absolute positions (String Match) stay
+  /// correct across fragments.
   std::function<std::vector<mr::TextChunk>(std::string_view)> chunker =
       [](std::string_view text) { return mr::split_text(text, 256 * 1024); };
 
@@ -133,9 +140,6 @@ struct PipelineOptions {
   /// Record delimiter; defaults to whitespace (word records).
   DelimiterPred is_delimiter = default_delimiters();
 
-  /// OS read granularity for the streaming reader.
-  std::size_t io_buffer_bytes = ChunkedFileReader::kDefaultBufferBytes;
-
   /// Keep ~1 fragment of pool read-ahead in flight while fragment N
   /// computes.  Disable for a serial A/B baseline.
   bool prefetch = true;
@@ -151,13 +155,14 @@ struct PipelineOptions {
 
 namespace detail {
 
-/// Runs one fragment through the engine and retires its output into
-/// either the incremental running result or the accumulator.  Shared by
-/// the in-memory and streaming drivers.
+/// Runs one fragment (or one batch of it) through the engine and retires
+/// its output into either the incremental running result or the
+/// accumulator.  Shared by the in-memory and streaming drivers; `chunks`
+/// carry file offsets.
 template <mr::MapReduceSpec Spec>
 void run_fragment(
     mr::Engine<Spec>& engine, const Spec& spec, const TextJob<Spec>& job,
-    std::string_view text, std::uint64_t offset,
+    const std::vector<mr::TextChunk>& chunks, std::uint64_t input_bytes,
     std::vector<mr::KV<typename Spec::Key, typename Spec::Value>>& running,
     std::vector<std::vector<mr::KV<typename Spec::Key, typename Spec::Value>>>&
         accumulated,
@@ -168,11 +173,7 @@ void run_fragment(
   // lives in the part.fragments counter and part.fragment_us histogram.
   MCSD_OBS_SPAN("part", "part.fragment");
   mr::Metrics frag_metrics;
-  auto chunks = job.chunker(text);
-  for (auto& chunk : chunks) {
-    chunk.offset += static_cast<std::size_t>(offset);
-  }
-  auto output = engine.run(spec, chunks, text.size(), &frag_metrics);
+  auto output = engine.run(spec, chunks, input_bytes, &frag_metrics);
   const double fragment_seconds = watch.elapsed_seconds();
   m.mapreduce_seconds += fragment_seconds;
   MCSD_OBS_HIST("part.fragment_us", "us",
@@ -193,6 +194,17 @@ void run_fragment(
     m.merge_seconds += watch.elapsed_seconds();
   } else {
     accumulated.push_back(std::move(output));
+  }
+}
+
+/// Appends `text`'s map chunks to `chunks`, rebased to file offset
+/// `offset`.
+template <mr::MapReduceSpec Spec>
+void append_chunks(const TextJob<Spec>& job, std::string_view text,
+                   std::uint64_t offset, std::vector<mr::TextChunk>& chunks) {
+  for (mr::TextChunk chunk : job.chunker(text)) {
+    chunk.offset += static_cast<std::size_t>(offset);
+    chunks.push_back(chunk);
   }
 }
 
@@ -241,19 +253,24 @@ std::vector<mr::KV<typename Spec::Key, typename Spec::Value>> run_partitioned(
   std::vector<Pair> running;
   std::vector<std::vector<Pair>> accumulated;
   if (!job.incremental_merge) accumulated.reserve(fragments.size());
+  std::vector<mr::TextChunk> chunks;
   for (const Fragment& fragment : fragments) {
-    detail::run_fragment(engine, spec, job, fragment.text, fragment.offset,
+    chunks.clear();
+    detail::append_chunks(job, fragment.text, fragment.offset, chunks);
+    detail::run_fragment(engine, spec, job, chunks, fragment.text.size(),
                          running, accumulated, m);
   }
   return detail::finish_merge(job, std::move(running), std::move(accumulated),
                               m);
 }
 
-/// Pipelined out-of-core run over a file: fragments stream off disk with
-/// prefetch (see StreamingFragmentSource) and retire through the job's
-/// incremental merge.  Returns kNotFound / kIoError for file problems;
-/// MemoryOverflowError still propagates as an exception, exactly like
-/// run_partitioned.
+/// Pipelined out-of-core run over a file: the engine maps pinned pool
+/// frames in place, batch by batch, with read-ahead (see
+/// StreamingFragmentSource), and each batch retires through the job's
+/// incremental merge.  The engine's memory budget applies per batch.
+/// Returns kNotFound / kIoError for file problems; MemoryOverflowError
+/// still propagates as an exception, exactly like run_partitioned, and
+/// unwinding releases every pin.
 template <mr::MapReduceSpec Spec>
 Result<std::vector<mr::KV<typename Spec::Key, typename Spec::Value>>>
 run_partitioned_file(mr::Engine<Spec>& engine, const Spec& spec,
@@ -270,7 +287,6 @@ run_partitioned_file(mr::Engine<Spec>& engine, const Spec& spec,
   StreamOptions stream;
   stream.fragment_bytes = options.partition_size;
   stream.is_delimiter = options.is_delimiter;
-  stream.io_buffer_bytes = options.io_buffer_bytes;
   stream.prefetch = options.prefetch;
   stream.read_throttle_mibps = options.read_throttle_mibps;
   stream.pool = options.pool;
@@ -279,18 +295,30 @@ run_partitioned_file(mr::Engine<Spec>& engine, const Spec& spec,
 
   std::vector<Pair> running;
   std::vector<std::vector<Pair>> accumulated;
-  OwnedFragment fragment;
+  FragmentBatch batch;
+  std::vector<mr::TextChunk> chunks;
   Stopwatch wait;
   for (;;) {
     wait.restart();
-    const auto got = source.value().next(fragment);
+    const auto got = source.value().next(batch);
     m.io_wait_seconds += wait.elapsed_seconds();
     if (!got.is_ok()) return got.error();
     if (!got.value()) break;
-    detail::run_fragment(engine, spec, job, fragment.text, fragment.offset,
-                         running, accumulated, m);
+    chunks.clear();
+    for (const FragmentSpan& span : batch.spans) {
+      if (span.stitched) {
+        chunks.push_back(
+            mr::TextChunk{span.text, static_cast<std::size_t>(span.offset)});
+      } else {
+        detail::append_chunks(job, span.text, span.offset, chunks);
+      }
+    }
+    MCSD_OBS_COUNT("part.engine_batches", 1);
+    detail::run_fragment(engine, spec, job, chunks, batch.bytes, running,
+                         accumulated, m);
   }
   m.fragments = source.value().fragments_produced();
+  m.engine_batches = source.value().batches_produced();
   m.bytes_streamed = source.value().bytes_streamed();
   m.peak_resident_fragment_bytes =
       source.value().peak_resident_fragment_bytes();

@@ -61,8 +61,8 @@ class BufferManager;
 class FrameGuard;
 
 struct PoolOptions {
-  /// Frame (page) size.  Matches ChunkedFileReader's default read
-  /// granularity so one refill is one page.
+  /// Frame (page) size: the unit the streaming fragment source maps in
+  /// place and stitches records across.
   std::size_t frame_bytes = 256 * 1024;
 
   /// Total pool capacity; rounded down to whole frames (at least one).
@@ -197,7 +197,7 @@ class FrameGuard {
 class BufferManager {
  public:
   /// Load / write-back attempts per page before the error surfaces —
-  /// mirrors ChunkedFileReader::kReadAttempts so injected transients
+  /// mirrors StreamingFragmentSource::kReadAttempts so injected transients
   /// never change observable output.
   static constexpr int kLoadAttempts = 4;
   static constexpr int kWriteAttempts = 4;

@@ -5,7 +5,7 @@
 
 namespace mcsd::storage {
 
-Result<std::shared_ptr<PooledFileSource>> PooledFileSource::open(
+Result<PooledFileSource> PooledFileSource::open(
     std::shared_ptr<BufferManager> pool, const std::filesystem::path& path,
     SourceOptions options) {
   if (!pool) {
@@ -14,56 +14,30 @@ Result<std::shared_ptr<PooledFileSource>> PooledFileSource::open(
   auto file = pool->open_file(path);
   if (!file.is_ok()) return file.error();
   // Cap read-ahead so a deep request can never consume the pool: the
-  // consumer's pinned page plus in-flight loads must leave room.
+  // consumer's pinned pages plus in-flight loads must leave room.
   options.readahead_pages =
       std::min(options.readahead_pages,
                std::max<std::size_t>(1, pool->capacity_frames() / 2) - 1);
-  return std::shared_ptr<PooledFileSource>(new PooledFileSource(
-      std::move(pool), std::move(file).value(), options));
+  return PooledFileSource{std::move(pool), std::move(file).value(), options};
 }
 
-Result<std::size_t> PooledFileSource::read_at(std::uint64_t offset, char* dst,
-                                              std::size_t len) {
+Result<FrameGuard> PooledFileSource::pin(std::uint64_t page_no) {
   const std::uint64_t file_size = file_->size();
-  if (offset >= file_size || len == 0) return std::size_t{0};
-  const std::size_t want =
-      static_cast<std::size_t>(std::min<std::uint64_t>(len, file_size - offset));
-  const std::size_t frame_bytes = pool_->frame_bytes();
-  const std::uint64_t last_page = (file_size - 1) / frame_bytes;
-
-  std::size_t done = 0;
-  while (done < want) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t page_no = pos / frame_bytes;
-    const std::size_t in_page = static_cast<std::size_t>(pos % frame_bytes);
-
-    if (options_.readahead_pages > 0) {
-      // Keep the read-ahead window queued past the last page this call
-      // will touch; the pool skips pages already resident or in flight.
-      const std::uint64_t end_page = (offset + want - 1) / frame_bytes;
-      const std::uint64_t target =
-          std::min(end_page + options_.readahead_pages, last_page);
-      if (prefetch_cursor_ <= page_no) prefetch_cursor_ = page_no + 1;
-      for (; prefetch_cursor_ <= target; ++prefetch_cursor_) {
-        pool_->prefetch(file_, prefetch_cursor_, options_.hint,
-                        options_.read_throttle_mibps);
-      }
+  if (options_.readahead_pages > 0 && file_size > 0) {
+    // Keep the read-ahead window queued past this page; the pool skips
+    // pages already resident or in flight.
+    const std::uint64_t last_page = (file_size - 1) / pool_->frame_bytes();
+    const std::uint64_t target =
+        std::min(page_no + options_.readahead_pages, last_page);
+    if (prefetch_cursor_ <= page_no) prefetch_cursor_ = page_no + 1;
+    for (; prefetch_cursor_ <= target; ++prefetch_cursor_) {
+      pool_->prefetch(file_, prefetch_cursor_, options_.hint,
+                      options_.read_throttle_mibps);
     }
-
-    auto guard = pool_->pin(file_, page_no, options_.hint,
-                            options_.read_throttle_mibps);
-    if (!guard.is_ok()) return guard.error();
-    const std::string_view bytes = guard.value().bytes();
-    if (in_page >= bytes.size()) break;  // short page: nothing more here
-    const std::size_t take = std::min(want - done, bytes.size() - in_page);
-    std::memcpy(dst + done, bytes.data() + in_page, take);
-    done += take;
-    if (in_page + take < frame_bytes) break;  // partial page == EOF
   }
-  return done;
+  return pool_->pin(file_, page_no, options_.hint,
+                    options_.read_throttle_mibps);
 }
-
-std::string PooledFileSource::describe() const { return file_->path(); }
 
 Result<SpillWriter> SpillWriter::create(std::shared_ptr<BufferManager> pool,
                                         const std::filesystem::path& path) {

@@ -1,11 +1,12 @@
-// Pool-backed adapters between the buffer manager and the byte-stream
-// world the rest of the codebase speaks.
+// Pool-backed access paths for the layers above the buffer manager.
 //
-//  * PooledFileSource — a core RandomAccessSource whose read_at() is
-//    served from pinned frames, with configurable read-ahead queued to
-//    the pool's I/O threads.  Plugged into ChunkedFileReader it replaces
-//    the ad-hoc per-stream prefetch thread: overlap now comes from the
-//    pool, and the pages it loads *stay* loaded for the next run.
+//  * PooledFileSource — one sequential reader's view of a file: pin()
+//    hands out a page *in place* (a FrameGuard over the pool frame, no
+//    copy) after queueing read-ahead to the pool's I/O threads, so the
+//    next pages load while the caller computes on this one, and every
+//    page it loads *stays* loaded for the next run.  The streaming
+//    fragment source (partition/streaming.hpp) maps the engine straight
+//    over these pinned frames.
 //  * SpillWriter — append-only writer that fills pool frames and lets
 //    eviction / flush() write them back: spill data transits the same
 //    frames and fault sites as everything else.
@@ -18,15 +19,14 @@
 #include <string>
 #include <string_view>
 
-#include "core/io.hpp"
 #include "core/result.hpp"
 #include "storage/buffer_manager.hpp"
 
 namespace mcsd::storage {
 
 struct SourceOptions {
-  /// Pages queued ahead of the highest page a read_at() touched.  0
-  /// disables read-ahead (the serial A/B baseline).
+  /// Pages queued ahead of the highest page pinned so far.  0 disables
+  /// read-ahead (the serial A/B baseline).
   std::size_t readahead_pages = 0;
 
   /// Emulated device rate applied to page *loads* (see
@@ -37,19 +37,26 @@ struct SourceOptions {
   AccessHint hint = AccessHint::kSequential;
 };
 
-class PooledFileSource final : public RandomAccessSource {
+class PooledFileSource {
  public:
-  /// Registers `path` with `pool` (kNotFound if absent).
-  static Result<std::shared_ptr<PooledFileSource>> open(
-      std::shared_ptr<BufferManager> pool, const std::filesystem::path& path,
-      SourceOptions options = {});
+  /// Registers `path` with `pool` (kNotFound if absent).  Read-ahead is
+  /// capped at capacity_frames() / 2 - 1 pages, so a deep request can
+  /// never consume the pool.
+  static Result<PooledFileSource> open(std::shared_ptr<BufferManager> pool,
+                                       const std::filesystem::path& path,
+                                       SourceOptions options = {});
 
-  Result<std::size_t> read_at(std::uint64_t offset, char* dst,
-                              std::size_t len) override;
-  [[nodiscard]] std::string describe() const override;
+  /// Queues read-ahead up to `page_no + readahead_pages`, then pins page
+  /// `page_no`.  The guard's bytes() are the page in place; a page
+  /// shorter than frame_bytes() is the file's last, and a page past
+  /// end-of-file is empty.
+  Result<FrameGuard> pin(std::uint64_t page_no);
 
   [[nodiscard]] const std::shared_ptr<File>& file() const noexcept {
     return file_;
+  }
+  [[nodiscard]] const std::shared_ptr<BufferManager>& pool() const noexcept {
+    return pool_;
   }
 
  private:

@@ -75,15 +75,17 @@ fi
 
 # bench_record storage: a small cold-vs-warm run through the buffer pool
 # must record the warm-rerun speedup, hit rates for the fitting and
-# overflow pools, and the byte-identity + residency gates.  Appends to
-# the same out-of-core trajectory file checked above.  4M is the
-# smallest corpus whose overflow pool (1/4 of it, 64 KiB frames) holds
-# one 256 KiB reader refill plus the source's read-ahead cap.
+# overflow pools, the warm arm's I/O wait, and the byte-identity +
+# residency gates.  Appends to the same out-of-core trajectory file
+# checked above.  4M is the smallest corpus whose overflow pool (1/4 of
+# it: sixteen 64 KiB frames) holds the source's pin window (a quarter of
+# the pool) plus its read-ahead cap (half) and still keeps a few of the
+# cold run's pages for the rerun.
 "$TOOLS_DIR/bench_record" --suite storage --bytes 4M --reps 2 \
     --workers 2 --label smoke --out BENCH_outofcore.json > /dev/null
 for needle in storage_cold storage_warm warm_rerun_speedup hit_rate \
     warm_rerun_speedup_overflow hit_rate_overflow \
-    read_amplification_overflow \
+    read_amplification_overflow warm_io_wait_ms \
     output_identical_warm_cold peak_resident_within_pool pool_bytes; do
   grep -q "$needle" BENCH_outofcore.json || {
     echo "BENCH_outofcore.json: missing '$needle'"; exit 1;

@@ -17,6 +17,8 @@
 #include "core/stopwatch.hpp"
 #include "fam/inotify_watcher.hpp"
 #include "obs/counters.hpp"
+#include "partition/streaming.hpp"
+#include "storage/buffer_manager.hpp"
 
 namespace mcsd::fault {
 namespace {
@@ -160,6 +162,20 @@ TEST(FaultInjection, DelayedRenameStallsThenSucceeds) {
   EXPECT_EQ(read_file(path).value(), "late");
 }
 
+/// A streaming source over `path` whose pool pins 256-byte frames, so a
+/// few KiB of text take many frame acquisitions (the refill site).
+Result<part::StreamingFragmentSource> open_tiny_frame_stream(
+    const std::filesystem::path& path) {
+  storage::PoolOptions pool_options;
+  pool_options.frame_bytes = 256;
+  pool_options.pool_bytes = 64 * 256;
+  part::StreamOptions options;
+  options.fragment_bytes = 1024;
+  options.prefetch = false;
+  options.pool = std::make_shared<storage::BufferManager>(pool_options);
+  return part::StreamingFragmentSource::open(path, std::move(options));
+}
+
 TEST(FaultInjection, RefillRetryKeepsStreamedBytesIdentical) {
   TempDir dir{"fault"};
   const auto path = dir / "stream.txt";
@@ -169,19 +185,21 @@ TEST(FaultInjection, RefillRetryKeepsStreamedBytesIdentical) {
   }
   ASSERT_TRUE(write_file(path, contents).is_ok());
 
-  // One transient EIO on the second refill: the reader must resync to
-  // the last good offset and deliver the same bytes as a clean run.
+  // One transient EIO on the second frame acquisition: the source must
+  // retry the pin and deliver the same bytes as a clean run.
   FaultScope scope{plan_or_die("refill.eio=@2")};
-  auto reader = ChunkedFileReader::open(path, 256);
-  ASSERT_TRUE(reader.is_ok());
+  auto source = open_tiny_frame_stream(path);
+  ASSERT_TRUE(source.is_ok());
   std::string streamed;
-  std::string fragment;
-  const auto is_space = [](char c) { return c == ' ' || c == '\n'; };
+  part::FragmentBatch batch;
   for (;;) {
-    auto got = reader.value().next_fragment(1024, is_space, fragment);
+    auto got = source.value().next(batch);
     ASSERT_TRUE(got.is_ok()) << got.error().to_string();
     if (!got.value()) break;
-    streamed += fragment;
+    for (const auto& span : batch.spans) {
+      ASSERT_EQ(span.offset, streamed.size());
+      streamed += span.text;
+    }
   }
   EXPECT_EQ(streamed, contents);
   EXPECT_EQ(Injector::instance().injected(Site::kRefill, Kind::kEio), 1u);
@@ -194,15 +212,15 @@ TEST(FaultInjection, RefillRetryExhaustionPropagates) {
 
   // kReadAttempts consecutive failures exhaust the retry loop.
   std::string spec = "refill.eio=@1";
-  for (int step = 2; step <= ChunkedFileReader::kReadAttempts; ++step) {
+  for (int step = 2; step <= part::StreamingFragmentSource::kReadAttempts;
+       ++step) {
     spec += "+" + std::to_string(step);
   }
   FaultScope scope{plan_or_die(spec)};
-  auto reader = ChunkedFileReader::open(path, 256);
-  ASSERT_TRUE(reader.is_ok());
-  std::string fragment;
-  const auto got = reader.value().next_fragment(
-      1024, [](char c) { return c == ' '; }, fragment);
+  auto source = open_tiny_frame_stream(path);
+  ASSERT_TRUE(source.is_ok());
+  part::FragmentBatch batch;
+  const auto got = source.value().next(batch);
   ASSERT_FALSE(got.is_ok());
   EXPECT_EQ(got.error().code(), ErrorCode::kIoError);
 }

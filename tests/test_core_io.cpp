@@ -111,120 +111,5 @@ TEST(FileSize, ReportsBytes) {
   EXPECT_FALSE(mcsd::file_size(dir / "missing").is_ok());
 }
 
-// ---------------------------------------------------------------------------
-// ChunkedFileReader: the streaming fragment reader under the out-of-core
-// pipeline.  Cuts must match part::integrity_check exactly; the edge
-// cases here are records and delimiter runs interacting with the read
-// buffer boundary.
-// ---------------------------------------------------------------------------
-
-bool is_space(char c) { return c == ' ' || c == '\n'; }
-
-/// Streams `file` fully; returns fragments and checks offsets line up.
-std::vector<std::string> stream_all(const fs::path& file,
-                                    std::uint64_t target,
-                                    std::size_t buffer_bytes) {
-  auto reader = ChunkedFileReader::open(file, buffer_bytes);
-  EXPECT_TRUE(reader.is_ok());
-  std::vector<std::string> fragments;
-  std::string fragment;
-  std::uint64_t expected_offset = 0;
-  for (;;) {
-    EXPECT_EQ(reader.value().next_fragment_offset(), expected_offset);
-    const auto got =
-        reader.value().next_fragment(target, is_space, fragment);
-    EXPECT_TRUE(got.is_ok()) << got.error().to_string();
-    if (!got.value()) break;
-    EXPECT_FALSE(fragment.empty());
-    expected_offset += fragment.size();
-    fragments.push_back(fragment);
-  }
-  return fragments;
-}
-
-TEST(ChunkedFileReader, MissingFileIsNotFound) {
-  TempDir dir{"iotest"};
-  const auto reader = ChunkedFileReader::open(dir / "nope");
-  ASSERT_FALSE(reader.is_ok());
-  EXPECT_EQ(reader.error().code(), ErrorCode::kNotFound);
-}
-
-TEST(ChunkedFileReader, EmptyFileYieldsNoFragments) {
-  TempDir dir{"iotest"};
-  const fs::path file = dir / "empty";
-  ASSERT_TRUE(write_file(file, "").is_ok());
-  EXPECT_TRUE(stream_all(file, 8, 16).empty());
-}
-
-TEST(ChunkedFileReader, FileSmallerThanOneBufferIsOneFragment) {
-  TempDir dir{"iotest"};
-  const fs::path file = dir / "small";
-  const std::string payload = "tiny file";
-  ASSERT_TRUE(write_file(file, payload).is_ok());
-  const auto fragments = stream_all(file, 1024, 64 * 1024);
-  ASSERT_EQ(fragments.size(), 1u);
-  EXPECT_EQ(fragments[0], payload);
-}
-
-TEST(ChunkedFileReader, TargetZeroReadsWholeFile) {
-  TempDir dir{"iotest"};
-  const fs::path file = dir / "whole";
-  std::string payload;
-  for (int i = 0; i < 500; ++i) payload += "word" + std::to_string(i) + " ";
-  ASSERT_TRUE(write_file(file, payload).is_ok());
-  const auto fragments = stream_all(file, 0, 64);  // many refills
-  ASSERT_EQ(fragments.size(), 1u);
-  EXPECT_EQ(fragments[0], payload);
-}
-
-TEST(ChunkedFileReader, RecordSpanningReadBufferBoundaryStaysWhole) {
-  TempDir dir{"iotest"};
-  const fs::path file = dir / "span";
-  // Buffer is 16 bytes; the 40-byte record spans several read buffers and
-  // also spans the 8-byte fragment target.
-  const std::string long_record(40, 'x');
-  const std::string payload = "ab " + long_record + " cd ef";
-  ASSERT_TRUE(write_file(file, payload).is_ok());
-  const auto fragments = stream_all(file, 8, 16);
-  std::string joined;
-  for (const auto& f : fragments) joined += f;
-  EXPECT_EQ(joined, payload);
-  // The long record must live whole inside exactly one fragment.
-  int containing = 0;
-  for (const auto& f : fragments) {
-    if (f.find(long_record) != std::string::npos) ++containing;
-  }
-  EXPECT_EQ(containing, 1);
-}
-
-TEST(ChunkedFileReader, LongDelimiterRunAtBufferEdgeIsAbsorbed) {
-  TempDir dir{"iotest"};
-  const fs::path file = dir / "runs";
-  // A delimiter run crossing both the fragment target and several read
-  // buffer boundaries must be absorbed into the preceding fragment, so
-  // the next fragment starts on a record byte.
-  const std::string payload =
-      "head" + std::string(50, ' ') + "tail" + std::string(30, '\n') + "end";
-  ASSERT_TRUE(write_file(file, payload).is_ok());
-  const auto fragments = stream_all(file, 6, 16);
-  std::string joined;
-  for (const auto& f : fragments) joined += f;
-  EXPECT_EQ(joined, payload);
-  for (std::size_t i = 1; i < fragments.size(); ++i) {
-    EXPECT_FALSE(is_space(fragments[i].front()))
-        << "fragment " << i << " starts mid-delimiter-run";
-  }
-}
-
-TEST(ChunkedFileReader, AllDelimiterFileIsOneFragment) {
-  TempDir dir{"iotest"};
-  const fs::path file = dir / "blanks";
-  const std::string payload(100, ' ');
-  ASSERT_TRUE(write_file(file, payload).is_ok());
-  const auto fragments = stream_all(file, 10, 16);
-  ASSERT_EQ(fragments.size(), 1u);
-  EXPECT_EQ(fragments[0], payload);
-}
-
 }  // namespace
 }  // namespace mcsd

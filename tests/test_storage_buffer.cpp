@@ -50,27 +50,35 @@ std::string patterned(std::size_t pages, std::size_t tail = 0,
   return out;
 }
 
-/// Reads `path` front to back in `chunk`-byte reads through a fresh
-/// PooledFileSource with the largest read-ahead the pool allows — the
-/// access pattern of one streaming out-of-core run.  `compute` is spent
-/// after each read, as an engine would, so the read-ahead lands first.
+/// Reads `path` front to back through a fresh PooledFileSource with the
+/// largest read-ahead the pool allows — the access pattern of one
+/// streaming out-of-core run.  Pages are pinned `window` at a time and
+/// released together, as the streaming source's pin window does;
+/// `compute` is spent after each window, as an engine would, so the
+/// read-ahead lands first.
 Result<std::string> scan(const std::shared_ptr<BufferManager>& pool,
                          const std::filesystem::path& path,
-                         std::size_t chunk = kFrame,
+                         std::size_t window = 1,
                          std::chrono::microseconds compute = {}) {
   SourceOptions options;
   options.readahead_pages = 1'000;  // open() caps it to the pool
   auto source = PooledFileSource::open(pool, path, options);
   if (!source.is_ok()) return source.error();
+  const std::uint64_t pages =
+      (source.value().file()->size() + kFrame - 1) / kFrame;
   std::string out;
-  std::string buffer(chunk, '\0');
-  for (;;) {
-    auto got = source.value()->read_at(out.size(), buffer.data(), chunk);
-    if (!got.is_ok()) return got.error();
-    if (got.value() == 0) return out;
-    out.append(buffer, 0, got.value());
-    std::this_thread::sleep_for(compute);
+  std::vector<FrameGuard> pinned;
+  for (std::uint64_t page = 0; page < pages; ++page) {
+    auto guard = source.value().pin(page);
+    if (!guard.is_ok()) return guard.error();
+    pinned.push_back(std::move(guard).value());
+    if (pinned.size() == window || page + 1 == pages) {
+      for (const FrameGuard& held : pinned) out.append(held.bytes());
+      pinned.clear();
+      std::this_thread::sleep_for(compute);
+    }
   }
+  return out;
 }
 
 TEST(BufferManager, RoundTripReadAndWarmRepin) {
@@ -349,7 +357,7 @@ TEST(BufferManager, ReadAheadSurvivesUntilConsumed) {
   ASSERT_TRUE(write_file(path, data).is_ok());
 
   auto pool = std::make_shared<BufferManager>(tiny_pool(kPool));
-  auto got = scan(pool, path, kFrame, std::chrono::milliseconds{1});
+  auto got = scan(pool, path, 1, std::chrono::milliseconds{1});
   ASSERT_TRUE(got.is_ok()) << got.error().to_string();
   EXPECT_EQ(got.value(), data);
 
@@ -720,8 +728,9 @@ TEST(BufferManager, ConcurrentScansLargerThanPoolStayByteExact) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         const int f = round % 4 == 3 ? 1 - t : t;
-        // Odd-sized reads straddle page boundaries.
-        auto got = scan(pool, paths[f], kFrame - 1000 + 300 * t);
+        // Each holds a half-pool window of pins, the streaming
+        // source's most.
+        auto got = scan(pool, paths[f], 4);
         if (!got.is_ok() || got.value() != contents[f]) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
@@ -762,14 +771,9 @@ TEST(SpillWriter, RoundTripsOddSizedAppends) {
   EXPECT_EQ(on_disk.value(), expected);
 
   // And the spill reads back warm through the pool-backed source.
-  auto source = PooledFileSource::open(pool_ptr, path);
-  ASSERT_TRUE(source.is_ok());
-  std::string through_pool(expected.size(), '\0');
-  auto got = source.value()->read_at(0, through_pool.data(),
-                                     through_pool.size());
-  ASSERT_TRUE(got.is_ok());
-  ASSERT_EQ(got.value(), expected.size());
-  EXPECT_EQ(through_pool, expected);
+  auto through_pool = scan(pool_ptr, path);
+  ASSERT_TRUE(through_pool.is_ok());
+  EXPECT_EQ(through_pool.value(), expected);
 }
 
 TEST(PooledFileSource, ShortReadMeansEof) {
@@ -783,15 +787,17 @@ TEST(PooledFileSource, ShortReadMeansEof) {
   auto source = PooledFileSource::open(pool_ptr, path);
   ASSERT_TRUE(source.is_ok());
 
-  std::string buffer(2 * kFrame, '\0');
-  auto got = source.value()->read_at(0, buffer.data(), buffer.size());
-  ASSERT_TRUE(got.is_ok());
-  EXPECT_EQ(got.value(), data.size());
-  EXPECT_EQ(buffer.substr(0, got.value()), data);
+  // A short page is the file's last; a page past it is empty.
+  auto full = source.value().pin(0);
+  ASSERT_TRUE(full.is_ok());
+  EXPECT_EQ(full.value().bytes(), std::string_view{data}.substr(0, kFrame));
+  auto tail = source.value().pin(1);
+  ASSERT_TRUE(tail.is_ok());
+  EXPECT_EQ(tail.value().bytes(), std::string_view{data}.substr(kFrame));
 
-  auto past = source.value()->read_at(10 * kFrame, buffer.data(), kFrame);
+  auto past = source.value().pin(10);
   ASSERT_TRUE(past.is_ok());
-  EXPECT_EQ(past.value(), 0u);
+  EXPECT_TRUE(past.value().bytes().empty());
 }
 
 }  // namespace

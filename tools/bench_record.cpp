@@ -48,15 +48,15 @@
 //   * outofcore_pipelined/N  — stream fragments with prefetch (fragment
 //     N+1 reads while N computes) and incremental merge;
 //   * pipelined_speedup/N    — pipelined over serial throughput;
-//   * peak_resident_fragment_bytes — private fragment text: the
-//     consumer's fragment plus the reader's carry (~1 fragment); the
-//     read-ahead lives in pool frames;
+//   * peak_resident_fragment_bytes — private input bytes: the records
+//     of one batch stitched across frame boundaries; the engine maps
+//     everything else in place in pool frames;
 //   * integrity_scan_bytes_max, integrity_checks — the longest forward
 //     scan any record-aligned cut needed and how many cuts were checked
 //     (obs `part.integrity_scan_bytes` / `part.integrity_checks`): the
 //     integrity check costs O(record length), not O(fragment).  Only the
 //     serial arm's in-memory partitioner runs the check; the pipelined
-//     reader aligns its cuts in core/io.
+//     arm's streaming source aligns its cuts as it walks the frames.
 // Both arms read cold-cache and padded to --io-throttle MiB/s (default:
 // the Table-I disk model's 150 MiB/s seq_read), so the I/O:compute ratio
 // matches the storage node being modelled rather than this host's page
@@ -77,6 +77,9 @@
 //     twice and earlier pages survive (deterministic, unlike timings);
 //     readahead_evicted_overflow (should be 0) and ring_recycles_overflow
 //     are the pool counters behind it;
+//   * warm_io_wait_ms — the fitting pool's warm rerun's io_wait_seconds:
+//     the consumer's wait for its batches when every page is a pool hit
+//     (pinning and stitching only — nothing is copied out of frames);
 //   * output_identical_warm_cold, peak_resident_within_pool — safety
 //     gates recorded as fields.
 // The emulated device for this suite defaults to 40 MiB/s (a busy
@@ -529,8 +532,8 @@ void run_outofcore_suite(bench::TrajectoryEntry& entry,
       const double serial_s = watch.elapsed_seconds();
       std::string{}.swap(contents.value());  // release before the other arm
 
-      // Pipelined: pool read-ahead + incremental merge, ~1 private
-      // fragment resident.
+      // Pipelined: pool read-ahead + incremental merge, the engine
+      // mapping pool frames in place.
       if (Status s = stream.pool->drop_cached(); !s) {
         std::fprintf(stderr, "pool drop_cached failed: %s\n",
                      s.to_string().c_str());
@@ -725,10 +728,11 @@ void run_storage_suite(bench::TrajectoryEntry& entry,
                 static_cast<double>(over_warm_metrics.bytes_streamed));
   entry.add_field("output_identical_warm_cold",
                   output_identical ? "true" : "false");
-  // The private fragment text (consumer's fragment + reader carry) must
-  // stay a sliver next to the pool — the frames hold the data.
+  // The private input bytes (stitched records) must stay a sliver next
+  // to the pool — the frames hold the data.
   entry.add_field("peak_resident_fragment_bytes",
                   std::to_string(cold_metrics.peak_resident_fragment_bytes));
+  entry.add_number("warm_io_wait_ms", warm_metrics.io_wait_seconds * 1e3);
   entry.add_field(
       "peak_resident_within_pool",
       cold_metrics.peak_resident_fragment_bytes <= fitting->capacity_bytes()

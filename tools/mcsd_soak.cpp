@@ -13,7 +13,7 @@
 //   2. No invoke outlives its budget of timeout x max_attempts (+slack);
 //      a watchdog aborts the whole soak if the process wedges.
 //   3. The out-of-core job's merged output stays byte-identical to the
-//      fault-free baseline (ChunkedFileReader's refill retry at work).
+//      fault-free baseline (the streaming source's refill retry at work).
 //
 //   mcsd_soak --seed 1..5 --faults default
 //             [--clients 4] [--invokes 6] [--timeout-ms 300]
