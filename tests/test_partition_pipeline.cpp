@@ -128,13 +128,36 @@ TEST(StreamingFragmentSource, MissingFileIsNotFound) {
   EXPECT_EQ(source.error().code(), ErrorCode::kNotFound);
 }
 
+TEST(StreamingFragmentSource, MissingFileWithFramePoolIsNotFound) {
+  TempDir dir{"pipeline"};
+  StreamOptions options = tiny_frames(8, 16);
+  const auto pool = options.pool;
+  const auto source = StreamingFragmentSource::open(dir / "nope", options);
+  ASSERT_FALSE(source.is_ok());
+  EXPECT_EQ(source.error().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(pool->stats().pinned_frames, 0u);
+}
+
 TEST(StreamingFragmentSource, EmptyFileYieldsNoFragments) {
+  TempDir dir{"pipeline"};
+  ASSERT_TRUE(write_file(dir / "empty", "").is_ok());
+  for (const bool prefetch : {false, true}) {
+    StreamOptions options;
+    options.fragment_bytes = 1024;
+    options.prefetch = prefetch;
+    EXPECT_TRUE(stream_all(dir / "empty", options).fragments.empty());
+  }
+}
+
+TEST(StreamingFragmentSource, EmptyFileOverSixteenByteFramesYieldsNoFragments) {
   TempDir dir{"pipeline"};
   ASSERT_TRUE(write_file(dir / "empty", "").is_ok());
   for (const bool prefetch : {false, true}) {
     StreamOptions options = tiny_frames(8, 16);
     options.prefetch = prefetch;
+    const auto pool = options.pool;
     EXPECT_TRUE(stream_all(dir / "empty", options).fragments.empty());
+    EXPECT_EQ(pool->stats().pinned_frames, 0u);
   }
 }
 
