@@ -150,7 +150,18 @@ std::shared_ptr<fam::Module> make_wordcount_module(
                                                  *input, popts, job, &metrics);
         if (!merged) return merged.error();
         auto counts = std::move(merged).value();
-        sort_by_frequency_desc(counts);
+        // Only the reply's top entries need frequency order unless the
+        // whole table ships back.
+        const bool full_counts =
+            params.get_bool("full_counts").value_or(false);
+        const auto top_n = std::min<std::size_t>(
+            counts.size(),
+            static_cast<std::size_t>(params.get_int_or("top", 5)));
+        if (full_counts) {
+          sort_by_frequency_desc(counts);
+        } else {
+          partial_sort_by_frequency_desc(counts, top_n);
+        }
 
         KeyValueMap out;
         out.set_uint("unique", counts.size());
@@ -159,9 +170,6 @@ std::shared_ptr<fam::Module> make_wordcount_module(
         out.set_uint("pipelined", metrics.pipelined ? 1 : 0);
         out.set_uint("peak_resident_bytes",
                      metrics.peak_resident_fragment_bytes);
-        const auto top_n = std::min<std::size_t>(
-            counts.size(),
-            static_cast<std::size_t>(params.get_int_or("top", 5)));
         for (std::size_t i = 0; i < top_n; ++i) {
           out.set("top" + std::to_string(i), counts[i].key);
           out.set_uint("top" + std::to_string(i) + "_count",
@@ -170,7 +178,7 @@ std::shared_ptr<fam::Module> make_wordcount_module(
         // full_counts=true: ship the complete table back (one
         // "word count" pair per line) so a host-side runtime can
         // sum-merge results across several McSD nodes.
-        if (params.get_bool("full_counts").value_or(false)) {
+        if (full_counts) {
           out.set("counts", serialize_counts(counts));
         }
         return out;

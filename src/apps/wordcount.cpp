@@ -18,8 +18,9 @@ inline char lower(char c) {
 
 // The map inner loop is fully SWAR/batched: lower-case the chunk once
 // (8 bytes per step), extract word runs from 64-byte class bitmasks, and
-// hand tokens to the emitter in batches so key hashing runs four FNV
-// streams wide and combiner probes overlap their cache misses.  Output is
+// hand tokens to the emitter in batches so word-at-a-time key hashes
+// overlap across tokens and combiner probes overlap their cache misses.
+// The batch carries this spec, so a combine hit folds inline.  Output is
 // byte-identical to the scalar loop wordcount_sequential keeps as the
 // reference (pinned by property tests).
 void WordCountSpec::map(const mr::TextChunk& chunk,
@@ -44,13 +45,13 @@ void WordCountSpec::map(const mr::TextChunk& chunk,
     batch[filled++] = token;
     if (filled == batch.size()) {
       emit.emit_batch(std::span<const std::string_view>{batch.data(), filled},
-                      1);
+                      1, *this);
       filled = 0;
     }
   });
   if (filled != 0) {
     emit.emit_batch(std::span<const std::string_view>{batch.data(), filled},
-                    1);
+                    1, *this);
   }
 
   if (attr != nullptr) {
@@ -87,12 +88,24 @@ std::vector<WordCount> wordcount_sequential(std::string_view text) {
   return out;
 }
 
+namespace {
+// A total order over key-unique counts, so a partial sort's prefix equals
+// the full sort's.
+bool frequency_desc_less(const WordCount& a, const WordCount& b) {
+  if (a.value != b.value) return a.value > b.value;
+  return a.key < b.key;
+}
+}  // namespace
+
 void sort_by_frequency_desc(std::vector<WordCount>& counts) {
-  std::sort(counts.begin(), counts.end(),
-            [](const WordCount& a, const WordCount& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key < b.key;
-            });
+  std::sort(counts.begin(), counts.end(), frequency_desc_less);
+}
+
+void partial_sort_by_frequency_desc(std::vector<WordCount>& counts,
+                                    std::size_t n) {
+  const auto mid = counts.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(n, counts.size()));
+  std::partial_sort(counts.begin(), mid, counts.end(), frequency_desc_less);
 }
 
 std::uint64_t total_occurrences(const std::vector<WordCount>& counts) {

@@ -53,6 +53,11 @@ std::vector<WordCount> wordcount_sequential(std::string_view text);
 /// Paper output order: frequency decreasing, ties by word ascending.
 void sort_by_frequency_desc(std::vector<WordCount>& counts);
 
+/// Puts the first min(n, size) entries of sort_by_frequency_desc's order
+/// at the front of `counts`, in that order; the rest are left unordered.
+void partial_sort_by_frequency_desc(std::vector<WordCount>& counts,
+                                    std::size_t n);
+
 /// Total number of word occurrences in `counts` (sum of values).
 std::uint64_t total_occurrences(const std::vector<WordCount>& counts);
 

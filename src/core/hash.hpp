@@ -1,12 +1,16 @@
 // Hashing used by the MapReduce intermediate store.
 //
-// FNV-1a for strings (stable, decent distribution over word keys) plus a
+// String keys hash with `string_hash`, which reads the key a machine word
+// at a time and mixes with one 64x64->128 multiply (wyhash-style), plus a
 // 64-bit finaliser for integer keys.  Keyspace partitioning across reduce
 // workers must be *stable across runs* so tests can assert bucket
-// contents; std::hash gives no such guarantee.
+// contents; std::hash gives no such guarantee.  FNV-1a stays only as the
+// smartFAM frame checksum (fam/protocol.cpp).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -22,45 +26,57 @@ constexpr std::uint64_t fnv1a(std::string_view bytes) noexcept {
   return h;
 }
 
-/// Continues an FNV-1a hash over `bytes` from intermediate state `h`.
-constexpr std::uint64_t fnv1a_tail(std::uint64_t h,
-                                   std::string_view bytes) noexcept {
-  for (char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+namespace detail {
+inline std::uint64_t load_u64(const char* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
+inline std::uint64_t load_u32(const char* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+/// Full 64x64->128 product folded to 64 bits (low half xor high half).
+inline std::uint64_t mul_fold(std::uint64_t a, std::uint64_t b) noexcept {
+  __extension__ using u128 = unsigned __int128;
+  const u128 r = static_cast<u128>(a) * b;
+  return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+}
+}  // namespace detail
 
-/// Hashes four byte ranges with interleaved FNV-1a streams.  FNV's
-/// per-byte multiply forms a serial dependency chain, so hashing one key
-/// at a time leaves the multiplier idle most cycles; four independent
-/// chains overlap that latency.  Lanes advance together to the shortest
-/// key's length, then each finishes scalar — every lane's result is
-/// byte-identical to fnv1a() (the emitter's batched emit path relies on
-/// this to reuse the same hash for routing, probes, and reduce grouping).
-inline void fnv1a_x4(const std::string_view* keys, std::uint64_t* out) noexcept {
-  constexpr std::uint64_t kBasis = 0xCBF29CE484222325ULL;
-  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
-  std::uint64_t h0 = kBasis, h1 = kBasis, h2 = kBasis, h3 = kBasis;
-  const char* p0 = keys[0].data();
-  const char* p1 = keys[1].data();
-  const char* p2 = keys[2].data();
-  const char* p3 = keys[3].data();
-  std::size_t m = keys[0].size();
-  for (int l = 1; l < 4; ++l) {
-    if (keys[l].size() < m) m = keys[l].size();
+/// String-key hash.  Never reads outside `key`: keys of 8-16 bytes take
+/// two overlapping 8-byte loads, 4-7 bytes two overlapping 4-byte loads,
+/// 1-3 bytes a gather of the first, middle and last byte; longer keys
+/// fold one 8-byte word per step until 16 or fewer bytes remain.  The
+/// length seeds the state (the short-key loads overlap, so it is what
+/// tells "aa" from "a"), and the last two words meet in one 128-bit
+/// multiply.  Word loads are host-endian: values are stable across runs
+/// on one platform, which is all routing and grouping need.
+inline std::uint64_t string_hash(std::string_view key) noexcept {
+  constexpr std::uint64_t kSeed = 0xA0761D6478BD642FULL;
+  constexpr std::uint64_t kMulA = 0xE7037ED1A0B428DBULL;
+  constexpr std::uint64_t kMulB = 0x8EBC6AF09C88C6E3ULL;
+  const char* p = key.data();
+  std::size_t n = key.size();
+  std::uint64_t state = kSeed ^ n;
+  for (; n > 16; p += 8, n -= 8) {
+    state = detail::mul_fold(detail::load_u64(p) ^ kMulA, state ^ kMulB);
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    h0 = (h0 ^ static_cast<std::uint8_t>(p0[i])) * kPrime;
-    h1 = (h1 ^ static_cast<std::uint8_t>(p1[i])) * kPrime;
-    h2 = (h2 ^ static_cast<std::uint8_t>(p2[i])) * kPrime;
-    h3 = (h3 ^ static_cast<std::uint8_t>(p3[i])) * kPrime;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  if (n >= 8) {
+    a = detail::load_u64(p);
+    b = detail::load_u64(p + n - 8);
+  } else if (n >= 4) {
+    a = detail::load_u32(p);
+    b = detail::load_u32(p + n - 4);
+  } else if (n > 0) {
+    a = (std::uint64_t{static_cast<std::uint8_t>(p[0])} << 16) |
+        (std::uint64_t{static_cast<std::uint8_t>(p[n >> 1])} << 8) |
+        static_cast<std::uint8_t>(p[n - 1]);
   }
-  out[0] = fnv1a_tail(h0, keys[0].substr(m));
-  out[1] = fnv1a_tail(h1, keys[1].substr(m));
-  out[2] = fnv1a_tail(h2, keys[2].substr(m));
-  out[3] = fnv1a_tail(h3, keys[3].substr(m));
+  return detail::mul_fold(a ^ kMulA, b ^ state);
 }
 
 /// Stafford's Mix13 finaliser: scrambles integer keys so that sequential
@@ -76,11 +92,11 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
 
 /// KeyHash: customisation point used by the MapReduce engine.  Specialise
 /// or overload `mcsd_key_hash` (found by ADL) for user key types.
-constexpr std::uint64_t mcsd_key_hash(std::string_view key) noexcept {
-  return fnv1a(key);
+inline std::uint64_t mcsd_key_hash(std::string_view key) noexcept {
+  return string_hash(key);
 }
-constexpr std::uint64_t mcsd_key_hash(const std::string& key) noexcept {
-  return fnv1a(std::string_view{key});
+inline std::uint64_t mcsd_key_hash(const std::string& key) noexcept {
+  return string_hash(key);
 }
 constexpr std::uint64_t mcsd_key_hash(std::uint64_t key) noexcept {
   return mix64(key);
@@ -109,20 +125,35 @@ struct KeyHash {
 template <>
 struct KeyHash<std::string> {
   using is_transparent = void;
-  constexpr std::uint64_t operator()(std::string_view key) const noexcept {
-    return fnv1a(key);
+  std::uint64_t operator()(std::string_view key) const noexcept {
+    return string_hash(key);
   }
 };
 
+/// Maps a cached key hash to one of `num_buckets` reduce buckets by
+/// multiply-shift range reduction of the hash's high 32 bits: no
+/// division, and exact for any bucket count (the product of a 32-bit
+/// value and a 64-bit count fits in 128 bits).
+inline std::size_t hash_to_bucket(std::uint64_t hash,
+                                  std::size_t num_buckets) noexcept {
+  __extension__ using u128 = unsigned __int128;
+  return static_cast<std::size_t>(
+      (static_cast<u128>(hash >> 32) * num_buckets) >> 32);
+}
+
 /// Maps a cached key hash to a slot in a power-of-two table of
-/// `1 << log2_slots` entries.  Fibonacci hashing (multiply by 2^64/phi,
-/// take the top bits): the reduce-bucket routing `hash % num_buckets`
-/// already consumed the hash's low bits, so slot selection must draw on
-/// independent bits or every pair in a bucket would probe the same run.
+/// `1 << log2_slots` entries.  Fibonacci hashing of the hash's low 32
+/// bits (multiply by 2^32/phi, take the top bits): hash_to_bucket already
+/// consumed the high 32 bits, so slot selection must draw on the other
+/// half or every pair in a bucket would probe the same run.  Slot indices
+/// are 32-bit, so tables never exceed 2^32 entries.
 constexpr std::size_t hash_to_slot(std::uint64_t hash,
                                    unsigned log2_slots) noexcept {
-  return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >>
-                                  (64 - log2_slots));
+  assert(log2_slots >= 1 && log2_slots <= 32);
+  return static_cast<std::size_t>(
+      static_cast<std::uint32_t>(static_cast<std::uint32_t>(hash) *
+                                 0x9E3779B9u) >>
+      (32 - log2_slots));
 }
 
 }  // namespace mcsd

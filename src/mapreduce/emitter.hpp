@@ -102,7 +102,7 @@ class Emitter {
   /// when a combiner is installed and the key was seen before.
   void emit(K key, V value) {
     const std::uint64_t h = KeyHash<K>{}(key);
-    emit_hashed(std::move(key), std::move(value), h);
+    emit_hashed(std::move(key), std::move(value), h, installed_fold());
   }
 
   /// String-key fast path: probes with the view and copies the bytes into
@@ -112,7 +112,7 @@ class Emitter {
     requires kArenaKeys
   {
     const std::uint64_t h = KeyHash<K>{}(key);
-    emit_hashed(key, std::move(value), h);
+    emit_hashed(key, std::move(value), h, installed_fold());
   }
 
   /// Upper bound on emit_batch() input size.
@@ -120,41 +120,36 @@ class Emitter {
 
   /// Batched string-key emit, all tokens carrying the same value (the
   /// Word Count shape: every token counts 1).  Two passes: (1) hash every
-  /// token, four at a time through interleaved FNV-1a streams so the
-  /// multiply latency overlaps across tokens instead of serialising per
-  /// byte; (2) probe/insert, prefetching each token's slot line a few
-  /// tokens ahead so combiner-probe cache misses overlap too.  Emits are
-  /// routed and folded exactly as per-token emit() would — same hashes,
-  /// same bucket order, same counters.
+  /// token — independent word-at-a-time hashes, so their multiplies
+  /// overlap across tokens; (2) probe/insert, prefetching each token's
+  /// slot line a few tokens ahead so combiner-probe cache misses overlap
+  /// too.  Emits are routed and folded exactly as per-token emit() would
+  /// — same hashes, same bucket order, same counters.
   void emit_batch(std::span<const std::string_view> tokens, const V& value)
     requires kArenaKeys
   {
-    assert(tokens.size() <= kMaxBatch);
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t hashes[kMaxBatch];
-    const auto hash_start = attribution_ ? Clock::now() : Clock::time_point{};
-    std::size_t i = 0;
-    for (; i + 4 <= tokens.size(); i += 4) {
-      fnv1a_x4(tokens.data() + i, hashes + i);
-    }
-    for (; i < tokens.size(); ++i) hashes[i] = KeyHash<K>{}(tokens[i]);
-    Clock::time_point probe_start{};
-    if (attribution_ != nullptr) {
-      probe_start = Clock::now();
-      attribution_->hash_ns += static_cast<std::uint64_t>(
-          std::chrono::nanoseconds(probe_start - hash_start).count());
-    }
-    constexpr std::size_t kPrefetchAhead = 4;
-    for (i = 0; i < tokens.size(); ++i) {
-      if (i + kPrefetchAhead < tokens.size()) {
-        prefetch_slot(hashes[i + kPrefetchAhead]);
-      }
-      emit_hashed(tokens[i], V(value), hashes[i]);
-    }
-    if (attribution_ != nullptr) {
-      attribution_->probe_ns += static_cast<std::uint64_t>(
-          std::chrono::nanoseconds(Clock::now() - probe_start).count());
-    }
+    emit_batch_folding(tokens, value, installed_fold());
+  }
+
+  /// emit_batch() for a map function that knows its spec: a combine hit
+  /// folds through `spec.combine` inline instead of the installed
+  /// CombineFn's indirect call.  `spec` must be the spec whose combiner
+  /// the engine installed (a map function passes `*this`), so both folds
+  /// give the same value; its combine must accept the stored key (a
+  /// string_view).  With no combiner installed nothing folds, as in
+  /// emit_batch().
+  template <typename Spec>
+  void emit_batch(std::span<const std::string_view> tokens, const V& value,
+                  const Spec& spec)
+    requires kArenaKeys
+  {
+    emit_batch_folding(tokens, value,
+                       [&spec](const StoredKey& key, const V& accumulated,
+                               const V& incoming) {
+                         const V pairwise[2] = {accumulated, incoming};
+                         return spec.combine(key,
+                                             std::span<const V>{pairwise});
+                       });
   }
 
   /// Installs (or clears) the per-worker attribution sink the batched
@@ -281,19 +276,57 @@ class Emitter {
     unsigned log2_slots = 0;
   };
 
+  /// The installed CombineFn as a fold: one indirect call per hit.
+  auto installed_fold() const noexcept {
+    return [this](const StoredKey& key, const V& accumulated,
+                  const V& incoming) {
+      return combine_(combine_ctx_, key, accumulated, incoming);
+    };
+  }
+
+  template <typename Fold>
+  void emit_batch_folding(std::span<const std::string_view> tokens,
+                          const V& value, const Fold& fold) {
+    assert(tokens.size() <= kMaxBatch);
+    using Clock = std::chrono::steady_clock;
+    std::uint64_t hashes[kMaxBatch];
+    const auto hash_start = attribution_ ? Clock::now() : Clock::time_point{};
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      hashes[i] = KeyHash<K>{}(tokens[i]);
+    }
+    Clock::time_point probe_start{};
+    if (attribution_ != nullptr) {
+      probe_start = Clock::now();
+      attribution_->hash_ns += static_cast<std::uint64_t>(
+          std::chrono::nanoseconds(probe_start - hash_start).count());
+    }
+    constexpr std::size_t kPrefetchAhead = 4;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      if (i + kPrefetchAhead < tokens.size()) {
+        prefetch_slot(hashes[i + kPrefetchAhead]);
+      }
+      emit_hashed(tokens[i], V(value), hashes[i], fold);
+    }
+    if (attribution_ != nullptr) {
+      attribution_->probe_ns += static_cast<std::uint64_t>(
+          std::chrono::nanoseconds(Clock::now() - probe_start).count());
+    }
+  }
+
   /// Warms the slot line a token a few positions ahead will probe.
   void prefetch_slot(std::uint64_t h) const noexcept {
-    const Bucket& bucket =
-        buckets_[static_cast<std::size_t>(h) % buckets_.size()];
+    const Bucket& bucket = buckets_[hash_to_bucket(h, buckets_.size())];
     if (!bucket.slots.empty()) {
       detail::prefetch_read(bucket.slots.data() +
                             hash_to_slot(h, bucket.log2_slots));
     }
   }
 
-  template <typename KeyLike>
-  void emit_hashed(KeyLike&& key, V value, std::uint64_t h) {
-    Bucket& bucket = buckets_[static_cast<std::size_t>(h) % buckets_.size()];
+  /// Routes one hashed pair; a combine hit folds through `fold`, which
+  /// must agree with the installed combiner.
+  template <typename KeyLike, typename Fold>
+  void emit_hashed(KeyLike&& key, V value, std::uint64_t h, const Fold& fold) {
+    Bucket& bucket = buckets_[hash_to_bucket(h, buckets_.size())];
     ++count_;
     if (combine_ == nullptr) {
       insert(bucket, std::forward<KeyLike>(key), std::move(value), h);
@@ -319,7 +352,7 @@ class Emitter {
       }
       Pair& p = bucket.pairs[idx];
       if (p.hash == h && p.key == key) {
-        p.value = combine_(combine_ctx_, p.key, p.value, value);
+        p.value = fold(p.key, p.value, value);
         return;
       }
       slot = (slot + 1) & mask;

@@ -30,6 +30,16 @@ namespace mcsd::part {
 
 namespace detail {
 
+/// One pass: true when keys strictly increase — the pairs are sorted *and*
+/// key-unique, so there is nothing for sum_adjacent to fold.
+template <typename K, typename V>
+bool strictly_increasing_by_key(const std::vector<mr::KV<K, V>>& pairs) {
+  return std::adjacent_find(pairs.begin(), pairs.end(),
+                            [](const auto& a, const auto& b) {
+                              return !(a.key < b.key);
+                            }) == pairs.end();
+}
+
 template <typename K, typename V>
 bool sorted_by_key(const std::vector<mr::KV<K, V>>& pairs) {
   return std::is_sorted(
@@ -174,16 +184,20 @@ std::vector<mr::KV<K, V>> fold_merge(
 // ---------------------------------------------------------------------------
 
 /// Folds one fragment's output into the running key-sorted, key-unique
-/// result, summing equal keys.  `fresh` need not arrive sorted.
+/// result, summing equal keys.  `fresh` need not arrive sorted.  Key-sorted
+/// engine output is already key-unique, so the first batch is moved into
+/// an empty `running` without a copy.
 template <typename K, typename V>
 void sum_merge_into(std::vector<mr::KV<K, V>>& running,
                     std::vector<mr::KV<K, V>> fresh) {
   if (fresh.empty()) return;
-  if (!detail::sorted_by_key(fresh)) {
-    std::sort(fresh.begin(), fresh.end(),
-              [](const auto& a, const auto& b) { return a.key < b.key; });
+  if (!detail::strictly_increasing_by_key(fresh)) {
+    if (!detail::sorted_by_key(fresh)) {
+      std::sort(fresh.begin(), fresh.end(),
+                [](const auto& a, const auto& b) { return a.key < b.key; });
+    }
+    fresh = detail::sum_adjacent(std::move(fresh));
   }
-  fresh = detail::sum_adjacent(std::move(fresh));
   if (running.empty()) {
     running = std::move(fresh);
     return;
@@ -206,11 +220,16 @@ IncrementalMerge<K, V> sum_incremental() {
   };
 }
 
-/// Incremental form of concat_merge: append in fragment order.
+/// Incremental form of concat_merge: append in fragment order (the first
+/// batch is moved in whole).
 template <typename K, typename V>
 IncrementalMerge<K, V> concat_incremental() {
   return [](std::vector<mr::KV<K, V>>& running,
             std::vector<mr::KV<K, V>>&& fresh) {
+    if (running.empty()) {
+      running = std::move(fresh);
+      return;
+    }
     running.insert(running.end(), std::make_move_iterator(fresh.begin()),
                    std::make_move_iterator(fresh.end()));
   };

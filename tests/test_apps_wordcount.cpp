@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "apps/datagen.hpp"
 #include "mapreduce/engine.hpp"
@@ -103,6 +107,105 @@ TEST(WordCount, TotalOccurrencesConservedAcrossEngine) {
   for (const auto& kv : out) mr_total += kv.value;
   EXPECT_EQ(mr_total, seq_total);
   EXPECT_GT(seq_total, 0u);
+}
+
+/// Keys that stress a word-at-a-time hash: every length 1..70, keys that
+/// differ only in length or only in their last byte, many keys sharing a
+/// 16-byte prefix, and digits.  Returned lower-case (the counted form).
+std::vector<std::string> adversarial_vocabulary() {
+  std::vector<std::string> keys;
+  const std::string alnum = "abcdefghijklmnopqrstuvwxyz0123456789";
+  for (std::size_t len = 1; len <= 70; ++len) {
+    // Runs of one letter: every overlapping load of two such keys reads
+    // the same word, so only the length tells them apart.
+    keys.emplace_back(len, 'a');
+    std::string cycled;
+    for (std::size_t i = 0; i < len; ++i) cycled += alnum[(i * 7) % 36];
+    keys.push_back(cycled);
+    // Same prefix, last byte differs.
+    std::string last_x = std::string(len - 1, 'q') + 'x';
+    std::string last_y = std::string(len - 1, 'q') + 'y';
+    keys.push_back(std::move(last_x));
+    keys.push_back(std::move(last_y));
+  }
+  const std::string prefix = "sharedprefix0123";
+  for (int i = 0; i < 200; ++i) keys.push_back(prefix + std::to_string(i));
+  for (int i = 0; i < 50; ++i) keys.push_back(prefix + alnum.substr(i % 36, 1));
+  for (const char* k : {"0", "00", "000", "0000", "9z9", "abc123def456",
+                        "x1", "x10", "x100", "1x", "10x"}) {
+    keys.emplace_back(k);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+TEST(WordCount, AdversarialKeysMatchSequentialAcrossWorkers) {
+  const auto keys = adversarial_vocabulary();
+  ASSERT_GT(keys.size(), 400u);
+  // Each key appears (index % 5) + 1 times, in shuffled order, in mixed
+  // case, between assorted delimiters.
+  std::vector<std::size_t> order;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    for (std::size_t r = 0; r <= k % 5; ++r) order.push_back(k);
+  }
+  std::mt19937 rng{2024u};
+  std::shuffle(order.begin(), order.end(), rng);
+  const std::string delimiters = " \n\t.,;!-";
+  std::string text;
+  for (std::size_t n = 0; n < order.size(); ++n) {
+    std::string word = keys[order[n]];
+    for (char& c : word) {
+      if (c >= 'a' && c <= 'z' && (rng() & 1u) != 0) {
+        c = static_cast<char>(c - 'a' + 'A');
+      }
+    }
+    text += word;
+    text += delimiters[n % delimiters.size()];
+  }
+  const auto expected = wordcount_sequential(text);
+  ASSERT_EQ(expected.size(), keys.size());
+
+  std::vector<WordCount> first_sorted;
+  for (const bool sort_by_key : {false, true}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      mr::Options opts;
+      opts.num_workers = workers;
+      opts.sort_output_by_key = sort_by_key;
+      mr::Engine<WordCountSpec> engine{opts};
+      auto out = engine.run(WordCountSpec{}, mr::split_text(text, 512));
+      if (sort_by_key) {
+        EXPECT_EQ(out, expected) << "workers=" << workers;
+      }
+      std::sort(out.begin(), out.end(),
+                [](const WordCount& a, const WordCount& b) {
+                  return a.key < b.key;
+                });
+      EXPECT_EQ(out, expected)
+          << "workers=" << workers << " sort_by_key=" << sort_by_key;
+      if (first_sorted.empty()) first_sorted = out;
+      EXPECT_EQ(out, first_sorted)
+          << "workers=" << workers << " sort_by_key=" << sort_by_key;
+    }
+  }
+}
+
+TEST(PartialSortByFrequencyDesc, PrefixMatchesFullSort) {
+  std::vector<WordCount> counts;
+  for (int i = 0; i < 300; ++i) {
+    counts.push_back(
+        {"w" + std::to_string(i), static_cast<std::uint64_t>(i % 17)});
+  }
+  auto full = counts;
+  sort_by_frequency_desc(full);
+  for (const std::size_t n : {0u, 1u, 5u, 17u, 300u, 1000u}) {
+    auto partial = counts;
+    partial_sort_by_frequency_desc(partial, n);
+    const std::size_t k = std::min<std::size_t>(n, counts.size());
+    EXPECT_TRUE(
+        std::equal(partial.begin(), partial.begin() + k, full.begin()))
+        << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "apps/datagen.hpp"
 #include "core/hash.hpp"
+#include "mapreduce/types.hpp"
 
 namespace mcsd {
 namespace {
@@ -118,8 +123,43 @@ TEST(Hash, Mix64ScramblesSequentialKeys) {
 }
 
 TEST(Hash, KeyHashDispatch) {
-  EXPECT_EQ(KeyHash<std::string>{}(std::string{"abc"}), fnv1a("abc"));
+  EXPECT_EQ(KeyHash<std::string>{}(std::string{"abc"}), string_hash("abc"));
   EXPECT_EQ(KeyHash<std::uint64_t>{}(42u), mix64(42u));
+}
+
+TEST(Hash, DefaultBucketsBalanceOverVocabulary) {
+  // Reduce-bucket routing of a 10k-word vocabulary over the default 32
+  // buckets: the fullest bucket stays within 1.5x of the mean.
+  constexpr std::size_t kWords = 10'000;
+  constexpr std::size_t kBuckets = mr::Options::kDefaultReduceBuckets;
+  const auto vocabulary = apps::generate_vocabulary(kWords, 42);
+  ASSERT_EQ(vocabulary.size(), kWords);
+  std::vector<std::size_t> load(kBuckets, 0);
+  for (const auto& word : vocabulary) {
+    ++load[hash_to_bucket(KeyHash<std::string>{}(word), kBuckets)];
+  }
+  const double mean = static_cast<double>(kWords) / kBuckets;
+  const std::size_t fullest = *std::max_element(load.begin(), load.end());
+  EXPECT_LE(static_cast<double>(fullest), 1.5 * mean);
+}
+
+TEST(Hash, BucketRangeReductionCoversEveryBucket) {
+  // Multiply-shift routing stays in range for any bucket count, and the
+  // ends of the hash range land in the first and last buckets.
+  for (std::size_t buckets : {std::size_t{1}, std::size_t{5},
+                              std::size_t{32}, std::size_t{1000}}) {
+    EXPECT_EQ(hash_to_bucket(0, buckets), 0u);
+    EXPECT_EQ(hash_to_bucket(~std::uint64_t{0}, buckets), buckets - 1);
+    std::set<std::size_t> seen;
+    for (std::uint64_t i = 0; i < 100'000; ++i) {
+      const std::size_t b = hash_to_bucket(mix64(i), buckets);
+      ASSERT_LT(b, buckets);
+      seen.insert(b);
+    }
+    EXPECT_EQ(seen.size(), buckets);
+  }
+  const std::size_t huge = std::size_t{1} << 40;
+  EXPECT_LT(hash_to_bucket(~std::uint64_t{0}, huge), huge);
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/hash.hpp"
 
 namespace mcsd {
@@ -226,26 +229,44 @@ TEST(ToLowerAscii, MatchesScalarOnRandomInputsIncludingTails) {
   }
 }
 
-TEST(Fnv1aX4, LanesMatchScalarHashes) {
-  // The batched emit path reuses fnv1a_x4 output for routing, probes and
-  // grouping, so every lane must equal fnv1a() exactly — including
-  // length-skewed and empty lanes.
-  std::mt19937 rng{42u};
+TEST(StringHash, ReadsNoByteOutsideTheKey) {
+  // Every length 0..80 at every start offset 0..7: each key sits at the
+  // end of an exact-size heap allocation, so ASan flags a load past the
+  // key's last byte; the bytes before it differ from the reference copy's,
+  // so a load before the key's first byte changes the hash.
+  std::mt19937 rng{17u};
   std::uniform_int_distribution<int> byte_dist{0, 255};
-  std::uniform_int_distribution<std::size_t> len_dist{0, 40};
-  for (int round = 0; round < 200; ++round) {
-    std::string backing[4];
-    std::string_view keys[4];
-    for (int l = 0; l < 4; ++l) {
-      backing[l].resize(len_dist(rng));
-      for (char& c : backing[l]) c = static_cast<char>(byte_dist(rng));
-      keys[l] = backing[l];
+  for (std::size_t len = 0; len <= 80; ++len) {
+    std::string key(len, '\0');
+    for (char& c : key) c = static_cast<char>(byte_dist(rng));
+    const std::uint64_t expected = string_hash(key);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const auto buf = std::make_unique<char[]>(offset + len);
+      for (std::size_t i = 0; i < offset; ++i) {
+        buf[i] = static_cast<char>(byte_dist(rng));
+      }
+      std::memcpy(buf.get() + offset, key.data(), len);
+      EXPECT_EQ(string_hash(std::string_view{buf.get() + offset, len}),
+                expected)
+          << "len=" << len << " offset=" << offset;
     }
-    std::uint64_t out[4];
-    fnv1a_x4(keys, out);
-    for (int l = 0; l < 4; ++l) {
-      EXPECT_EQ(out[l], fnv1a(keys[l])) << "round=" << round << " lane=" << l;
-    }
+  }
+}
+
+TEST(StringHash, EqualKeysHashEquallyWhereverTheyLive) {
+  // Routing, combiner probes and reduce grouping share one cached hash,
+  // so an owned key, a view into a larger buffer and an arena copy of the
+  // same bytes must all hash alike.
+  const std::string text = "xxthe quick brown fox jumps over the lazy dogxx";
+  BumpArena arena;
+  for (std::size_t len = 0; len + 4 <= text.size(); ++len) {
+    const std::string_view view = std::string_view{text}.substr(2, len);
+    const std::string owned{view};
+    const std::string_view stored = arena.store(view);
+    const std::uint64_t h = KeyHash<std::string>{}(owned);
+    EXPECT_EQ(KeyHash<std::string>{}(view), h) << "len=" << len;
+    EXPECT_EQ(KeyHash<std::string>{}(stored), h) << "len=" << len;
+    EXPECT_EQ(mcsd_key_hash(owned), h) << "len=" << len;
   }
 }
 

@@ -256,6 +256,31 @@ TEST(Mergers, SumMergeIntoFoldsFragmentByFragment) {
   EXPECT_EQ(running, expected);
 }
 
+TEST(Mergers, FirstBatchIsMovedNotCopied) {
+  // A key-sorted, key-unique first batch becomes the running result as is
+  // (same buffer); a sorted batch with a repeated key still gets folded.
+  using Pair = mr::KV<std::string, std::uint64_t>;
+  std::vector<Pair> fresh{{"a", 1}, {"b", 2}, {"c", 3}};
+  const Pair* buffer = fresh.data();
+  std::vector<Pair> running;
+  sum_merge_into(running, std::move(fresh));
+  EXPECT_EQ(running.data(), buffer);
+  EXPECT_EQ(running, (std::vector<Pair>{{"a", 1}, {"b", 2}, {"c", 3}}));
+
+  std::vector<Pair> repeated_running;
+  sum_merge_into(repeated_running,
+                 std::vector<Pair>{{"a", 1}, {"a", 2}, {"b", 1}});
+  EXPECT_EQ(repeated_running, (std::vector<Pair>{{"a", 3}, {"b", 1}}));
+
+  auto concat_inc = concat_incremental<std::string, std::uint64_t>();
+  std::vector<Pair> batch{{"z", 1}, {"y", 2}};
+  buffer = batch.data();
+  std::vector<Pair> appended;
+  concat_inc(appended, std::move(batch));
+  EXPECT_EQ(appended.data(), buffer);
+  EXPECT_EQ(appended, (std::vector<Pair>{{"z", 1}, {"y", 2}}));
+}
+
 TEST(Mergers, IncrementalHelpersMatchTerminalMergers) {
   using Pair = mr::KV<std::string, std::uint64_t>;
   const std::vector<std::vector<Pair>> outputs{
