@@ -6,24 +6,33 @@
 
 namespace mcsd::apps {
 
-// Line iteration lives in core/strings.hpp (for_each_line), shared with
-// the sequential reference so both walk lines identically.
-
 void StringMatchSpec::map(const mr::TextChunk& chunk,
                           mr::Emitter<Key, Value>& emit) const {
-  // Lines shorter than every key cannot match; skip them before paying
-  // keys.size() substring searches.
-  std::size_t min_key_len = std::string_view::npos;
-  for (const auto& key : keys) min_key_len = std::min(min_key_len, key.size());
-  for_each_line(chunk.text, chunk.offset,
-                [&](std::string_view line, std::uint64_t offset) {
-                  if (line.size() < min_key_len) return;
-                  for (std::size_t k = 0; k < keys.size(); ++k) {
-                    if (line.find(keys[k]) != std::string_view::npos) {
-                      emit.emit(offset, static_cast<Value>(k));
-                    }
-                  }
-                });
+  const std::string_view text = chunk.text;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const std::string_view key = keys[k];
+    const auto index = static_cast<Value>(k);
+    // Lines hold no '\n', so such a key matches none of them.
+    if (key.find('\n') != std::string_view::npos) continue;
+    if (key.empty()) {
+      for_each_line(text, chunk.offset, [&](std::string_view, Key offset) {
+        emit.emit(offset, index);
+      });
+      continue;
+    }
+    // One scan of the whole chunk per key.  A hit lies inside one line
+    // (the key has no '\n'): emit that line once, then resume after it.
+    std::size_t pos = 0;
+    while ((pos = find_substring(text, key, pos)) != std::string_view::npos) {
+      const std::size_t prev_eol = text.rfind('\n', pos);
+      const std::size_t line_start =
+          prev_eol == std::string_view::npos ? 0 : prev_eol + 1;
+      emit.emit(chunk.offset + line_start, index);
+      const std::size_t eol = text.find('\n', pos + key.size());
+      if (eol == std::string_view::npos) break;
+      pos = eol + 1;
+    }
+  }
 }
 
 std::vector<Match> stringmatch_sequential(

@@ -11,6 +11,12 @@
 // A match is encoded as key = absolute byte offset of the matching line,
 // value = index of the key string that matched.  One line can match
 // several keys (one pair per key).
+//
+// The map scans each chunk once per key with find_substring (16 candidate
+// positions per step) rather than searching each line for each key: a hit
+// emits its line once and the scan resumes at the next line.  Pairs come
+// out key-major; the multiset equals stringmatch_sequential's, which keeps
+// the literal per-line search as the reference.
 #pragma once
 
 #include <cstdint>

@@ -68,19 +68,58 @@ void to_lower_ascii(std::string_view text, std::vector<char>& out) {
   char* dst = out.data();
   std::size_t i = 0;
   const std::size_t n = text.size();
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t block = swar::load8(src + i);
-    const std::uint64_t upper =
-        swar::in_range7(block & ~swar::kHigh, 'A', 'Z') & ~(block & swar::kHigh);
-    // The classification bit is 0x80 per uppercase lane; >> 2 turns it
-    // into the 0x20 case bit.
-    const std::uint64_t lowered = block | (upper >> 2);
+  for (; i + 16 <= n; i += 16) {
+    const swar::u8x16 block = swar::load16(src + i);
+    const swar::u8x16 lowered = block | (swar::upper_class16(block) & 0x20);
     std::memcpy(dst + i, &lowered, sizeof(lowered));
   }
   for (; i < n; ++i) {
     const char c = src[i];
     dst[i] = (c >= 'A' && c <= 'Z') ? static_cast<char>(c + 0x20) : c;
   }
+}
+
+std::size_t find_substring(std::string_view text, std::string_view needle,
+                           std::size_t from) noexcept {
+  const std::size_t n = text.size();
+  const std::size_t m = needle.size();
+  if (m == 0) return from <= n ? from : std::string_view::npos;
+  if (m > n || from > n - m) return std::string_view::npos;
+  const char* const data = text.data();
+  const char* const nd = needle.data();
+  // Bytes 0 and m-1 are tested by the block compare; memcmp confirms the
+  // ones between.
+  const auto confirm = [&](std::size_t at) {
+    return m <= 2 || std::memcmp(data + at + 1, nd + 1, m - 2) == 0;
+  };
+
+  const swar::u8x16 first = swar::u8x16{} + static_cast<std::uint8_t>(nd[0]);
+  const swar::u8x16 last =
+      swar::u8x16{} + static_cast<std::uint8_t>(nd[m - 1]);
+  std::size_t i = from;
+  // A block tests starts i..i+15, so it reads up to data[i + m + 14].
+  for (; i + m + 15 <= n; i += 16) {
+    const auto cand = reinterpret_cast<swar::u8x16>(
+        (swar::load16(data + i) == first) &
+        (swar::load16(data + i + m - 1) == last));
+    // Most blocks hold no candidate; skip the gather for them.
+    std::uint64_t half[2];
+    std::memcpy(half, &cand, sizeof(half));
+    if ((half[0] | half[1]) == 0) continue;
+    std::uint32_t hits = swar::movemask16(cand);
+    while (hits != 0) {
+      const std::size_t at =
+          i + static_cast<std::size_t>(std::countr_zero(hits));
+      if (confirm(at)) return at;
+      hits &= hits - 1;
+    }
+  }
+  for (; i + m <= n; ++i) {
+    if (data[i] == nd[0] && data[i + m - 1] == nd[m - 1] && confirm(i)) {
+      return i;
+    }
+  }
+  return std::string_view::npos;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

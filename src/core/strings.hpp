@@ -3,14 +3,15 @@
 // Nothing here allocates unless the return type requires it; inputs are
 // std::string_view throughout (C++ Core Guidelines F.15/F.16).
 //
-// The SWAR block (word_class_mask8 / to_lower_ascii / for_each_word)
-// powers the map-phase inner loops of Word Count and String Match: byte
-// classification and lower-casing run 8 bytes per step on plain 64-bit
-// registers, with no target-specific intrinsics, and token extraction
-// walks a 64-byte bitmask with countr_zero/countr_one instead of a
-// per-byte branch.  Property tests (test_core_strings) pin every SWAR
-// helper byte-identical to its scalar reference over random and
-// adversarial inputs.
+// The block-scan helpers (swar::, to_lower_ascii, for_each_word,
+// find_substring) power the map-phase inner loops of Word Count and
+// String Match: byte classification, lower-casing and substring
+// candidate tests run 16 bytes per step on a portable byte-vector type,
+// with no target-specific intrinsics, and token extraction walks a
+// 64-byte bitmask with countr_zero/countr_one instead of a per-byte
+// branch.  Property tests (test_core_strings) pin every helper
+// byte-identical to its scalar reference over random and adversarial
+// inputs, each input in an exact-size allocation so ASan sees over-reads.
 #pragma once
 
 #include <bit>
@@ -53,37 +54,39 @@ constexpr bool is_word_char(char c) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// SWAR byte classification (8 bytes per step, no intrinsics).
+// 16-byte block scans (GCC/Clang vector extension, no intrinsics).
 // ---------------------------------------------------------------------------
 
 namespace swar {
 
-inline constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+/// Sixteen byte lanes.  Plain `vector_size` arithmetic and compares, no
+/// target intrinsics and no -march: x86-64 lowers it to baseline SSE2,
+/// other targets to their own vector unit or to scalar code.
+typedef std::uint8_t u8x16 __attribute__((vector_size(16)));
+
 inline constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
 
-/// Per-byte `v >= c` for 7-bit byte lanes (callers mask the high bit off
-/// first): sets bit 7 of every lane whose value is >= c.  Adding
-/// (0x80 - c) pushes exactly the in-range lanes past 0x80, and since every
-/// lane sum stays below 0x100 no carry crosses into a neighbour.
-constexpr std::uint64_t ge7(std::uint64_t v, unsigned c) noexcept {
-  return (v + (0x80u - c) * kOnes) & kHigh;
+/// Unaligned 16-byte load (memcpy compiles to one movdqu).
+inline u8x16 load16(const char* p) noexcept {
+  u8x16 block;
+  std::memcpy(&block, p, sizeof(block));
+  return block;
 }
 
-/// Per-byte range test lo <= v <= hi (7-bit lanes, hi <= 0x7E).
-constexpr std::uint64_t in_range7(std::uint64_t v, unsigned lo,
-                                  unsigned hi) noexcept {
-  return ge7(v, lo) & ~ge7(v, hi + 1);
+/// 0xFF in every lane holding an ASCII uppercase letter.  The subtraction
+/// wraps, so one unsigned compare tests the whole range.
+inline u8x16 upper_class16(u8x16 v) noexcept {
+  return reinterpret_cast<u8x16>(static_cast<u8x16>(v - 'A') < 26);
 }
 
-/// Sets bit 7 of every byte lane holding an ASCII alphanumeric; bytes
-/// >= 0x80 (UTF-8 continuation etc.) always classify as non-word, same as
-/// the scalar is_word_char.
-constexpr std::uint64_t word_class_mask8(std::uint64_t block) noexcept {
-  const std::uint64_t hi = block & kHigh;
-  const std::uint64_t v = block & ~kHigh;
-  const std::uint64_t cls = in_range7(v, '0', '9') | in_range7(v, 'A', 'Z') |
-                            in_range7(v, 'a', 'z');
-  return cls & ~hi;
+/// 0xFF in every lane holding an ASCII alphanumeric; bytes >= 0x80 (UTF-8
+/// continuation etc.) always classify as non-word, same as the scalar
+/// is_word_char.  OR-ing 0x20 folds 'A'..'Z' onto 'a'..'z'; no other byte
+/// lands in that range.
+inline u8x16 word_class16(u8x16 v) noexcept {
+  const auto digit = static_cast<u8x16>(v - '0') < 10;
+  const auto alpha = static_cast<u8x16>((v | 0x20) - 'a') < 26;
+  return reinterpret_cast<u8x16>(digit | alpha);
 }
 
 /// Compresses a per-byte-bit-7 mask into 8 low bits (bit i = lane i).
@@ -94,24 +97,34 @@ constexpr std::uint64_t movemask8(std::uint64_t lane_mask) noexcept {
   return ((lane_mask & kHigh) * 0x0002040810204081ULL) >> 56;
 }
 
-/// Unaligned 8-byte little-endian load (memcpy compiles to one mov).
-inline std::uint64_t load8(const char* p) noexcept {
-  std::uint64_t block;
-  std::memcpy(&block, p, sizeof(block));
-  return block;
+/// Bit i set iff bit 7 of lane i is set: two movemask8 gathers.
+inline std::uint32_t movemask16(u8x16 lanes) noexcept {
+  std::uint64_t half[2];
+  std::memcpy(half, &lanes, sizeof(half));
+  return static_cast<std::uint32_t>(movemask8(half[0]) |
+                                    (movemask8(half[1]) << 8));
 }
 
 }  // namespace swar
 
-/// ASCII-lowercases `text` into `out` (resized to match), 8 bytes per
-/// step: the uppercase lanes' classification bit, shifted down to 0x20,
-/// is OR-ed straight in.  Bytes >= 0x80 pass through untouched, matching
+/// ASCII-lowercases `text` into `out` (resized to match), 16 bytes per
+/// step: the uppercase lanes' class mask, cut down to 0x20, is OR-ed
+/// straight in.  Bytes >= 0x80 pass through untouched, matching
 /// std::tolower under the C locale.
 void to_lower_ascii(std::string_view text, std::vector<char>& out);
 
+/// The first position >= `from` where `needle` occurs in `text`, or npos.
+/// For a non-empty needle this is exactly `text.find(needle, from)`; an
+/// empty needle is found at `from` when from <= text.size().  Each step
+/// tests the needle's first and last byte at 16 candidate positions and
+/// confirms the survivors with memcmp; a scalar tail covers the last
+/// positions, so no byte outside `text` is read.
+std::size_t find_substring(std::string_view text, std::string_view needle,
+                           std::size_t from = 0) noexcept;
+
 /// Invokes `fn(token)` for every maximal run of ASCII alphanumerics in
 /// `text`, in order.  Tokens are views into `text`.  The scan builds a
-/// 64-byte word-class bitmask per stripe (8 SWAR blocks + movemask) and
+/// 64-byte word-class bitmask per stripe (4 16-byte blocks + movemask) and
 /// extracts runs with countr_zero / countr_one, so cost per byte is a
 /// handful of ALU ops instead of two data-dependent branches.
 template <typename Fn>
@@ -124,10 +137,10 @@ void for_each_word(std::string_view text, Fn&& fn) {
 
   while (pos + 64 <= n) {
     std::uint64_t mask = 0;
-    for (unsigned j = 0; j < 8; ++j) {
-      mask |= swar::movemask8(swar::word_class_mask8(swar::load8(
-                  data + pos + 8 * j)))
-              << (8 * j);
+    for (unsigned j = 0; j < 4; ++j) {
+      mask |= std::uint64_t{swar::movemask16(
+                  swar::word_class16(swar::load16(data + pos + 16 * j)))}
+              << (16 * j);
     }
     std::uint64_t m = mask;
     std::size_t base = pos;

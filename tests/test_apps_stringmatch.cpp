@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/datagen.hpp"
+#include "core/strings.hpp"
 #include "mapreduce/engine.hpp"
 
 namespace mcsd::apps {
@@ -88,6 +91,106 @@ TEST(StringMatch, NoReduceStageOutputCountEqualsEmitCount) {
   const auto pairs = engine.run(spec, mr::split_lines(text, 6), 0, &metrics);
   EXPECT_EQ(pairs.size(), metrics.map_emits);
   EXPECT_EQ(pairs.size(), 2u);
+}
+
+/// Engine matches for `keys` over `text` split into newline-aligned
+/// chunks of about `chunk_bytes`, sorted for comparison.
+std::vector<Match> engine_matches(std::string_view text,
+                                  const std::vector<std::string>& keys,
+                                  std::size_t workers,
+                                  std::size_t chunk_bytes) {
+  StringMatchSpec spec;
+  spec.keys = keys;
+  mr::Options opts;
+  opts.num_workers = workers;
+  mr::Engine<StringMatchSpec> engine{opts};
+  return to_sorted_matches(
+      engine.run(spec, mr::split_lines(text, chunk_bytes)));
+}
+
+TEST(StringMatch, EngineMatchesSequentialOnCorpusWordKeys) {
+  // Lowercase corpus words hit on most lines, unlike the planted
+  // uppercase keys: many candidates per block, many matches per chunk.
+  CorpusOptions co;
+  co.bytes = 96 * 1024;
+  co.vocabulary = 500;
+  const std::string text = generate_corpus(co);
+  std::vector<std::string> keys;
+  std::size_t index = 0;
+  for_each_word(text, [&](std::string_view word) {
+    if (++index % 97 != 0 || word.size() < 5 || keys.size() == 4) return;
+    if (std::find(keys.begin(), keys.end(), word) == keys.end()) {
+      keys.emplace_back(word);
+    }
+  });
+  ASSERT_EQ(keys.size(), 4u);
+  const auto expected = stringmatch_sequential(text, keys);
+  EXPECT_GT(expected.size(), 100u);
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    for (std::size_t chunk_bytes : {1u, 61u, 997u, 4096u, 64u * 1024u}) {
+      EXPECT_EQ(engine_matches(text, keys, workers, chunk_bytes), expected)
+          << "workers=" << workers << " chunk_bytes=" << chunk_bytes;
+    }
+  }
+}
+
+/// Checks the engine against the reference at several chunk sizes, and
+/// the reference against the offsets a reader expects.
+void expect_matches(std::string_view text, const std::vector<std::string>& keys,
+                    const std::vector<Match>& expected) {
+  EXPECT_EQ(stringmatch_sequential(text, keys), expected);
+  for (std::size_t chunk_bytes : {1u, 3u, 8u, 1024u}) {
+    EXPECT_EQ(engine_matches(text, keys, 1, chunk_bytes), expected)
+        << "chunk_bytes=" << chunk_bytes;
+  }
+}
+
+TEST(StringMatchEdges, SelfOverlappingKey) {
+  expect_matches("aaaa\nxaax\naa\nabababab\n", {"aaa", "abab"},
+                 {{0, 0}, {13, 1}});
+}
+
+TEST(StringMatchEdges, KeyWithSameFirstAndLastByte) {
+  expect_matches("xabcabca\nabc a\naba\n", {"abca", "aba"},
+                 {{0, 0}, {15, 1}});
+}
+
+TEST(StringMatchEdges, KeyEqualToAWholeLine) {
+  expect_matches("KEY\nKEYS\nxKEY\nKE\nKEY\n", {"KEY"},
+                 {{0, 0}, {4, 0}, {9, 0}, {17, 0}});
+}
+
+TEST(StringMatchEdges, KeyAtChunkStartAndEnd) {
+  // Each line is its own chunk at chunk_bytes 1: the key opens one chunk
+  // and closes the next, with and without the newline after it.
+  expect_matches("NEEDLE x\ny NEEDLE\nNEEDLE", {"NEEDLE"},
+                 {{0, 0}, {9, 0}, {18, 0}});
+}
+
+TEST(StringMatchEdges, KeyLongerThanEveryLine) {
+  expect_matches("abc\ndef\n", {"abcdef", "abc def"}, {});
+}
+
+TEST(StringMatchEdges, OneByteKey) {
+  expect_matches("q\nxx\nxqx\n\nq", {"q"}, {{0, 0}, {5, 0}, {10, 0}});
+}
+
+TEST(StringMatchEdges, DuplicateKeysEachReportTheLine) {
+  expect_matches("one two\nthree\n", {"two", "two", "three"},
+                 {{0, 0}, {0, 1}, {8, 2}});
+}
+
+TEST(StringMatchEdges, EmptyKeyMatchesEveryLine) {
+  expect_matches("a\n\nbc\n", {""}, {{0, 0}, {2, 0}, {3, 0}});
+  expect_matches("a\n\nbc", {"", "bc"}, {{0, 0}, {2, 0}, {3, 0}, {3, 1}});
+}
+
+TEST(StringMatchEdges, KeyContainingNewlineNeverMatches) {
+  expect_matches("ab\ncd\n", {"b\nc", "\n", "cd"}, {{3, 2}});
+}
+
+TEST(StringMatchEdges, NoTrailingNewline) {
+  expect_matches("foo\nbar KEY", {"KEY", "bar"}, {{4, 0}, {4, 1}});
 }
 
 TEST(Match, OrderingByOffsetThenKey) {

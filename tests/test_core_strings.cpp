@@ -96,8 +96,8 @@ TEST(CharClasses, WordChars) {
 }
 
 // ---------------------------------------------------------------------------
-// SWAR property tests: every vectorised helper byte-identical to its
-// scalar reference over random and adversarial inputs.
+// Block-scan property tests: every vectorised helper byte-identical to
+// its scalar reference over random and adversarial inputs.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> words_scalar(std::string_view text) {
@@ -134,15 +134,22 @@ std::string lower_swar(std::string_view text) {
   return std::string{buf.data(), buf.size()};
 }
 
-TEST(SwarClasses, WordClassMask8MatchesScalarForEveryByte) {
+TEST(SwarClasses, WordClass16MatchesScalarForEveryByteInEveryLane) {
   for (int b = 0; b < 256; ++b) {
-    const auto byte = static_cast<std::uint64_t>(b);
-    // Place the byte in every lane position; neighbours are 0x00.
-    for (unsigned lane = 0; lane < 8; ++lane) {
-      const std::uint64_t block = byte << (8 * lane);
-      const std::uint64_t mask = swar::word_class_mask8(block);
-      const bool expect = is_word_char(static_cast<char>(b));
-      EXPECT_EQ((mask >> (8 * lane + 7)) & 1, expect ? 1u : 0u)
+    const char c = static_cast<char>(b);
+    const bool word = is_word_char(c);
+    const bool upper = c >= 'A' && c <= 'Z';
+    // Place the byte in every lane position; neighbours are 0x00, which
+    // is neither class, so the gathered masks hold at most that lane.
+    for (unsigned lane = 0; lane < 16; ++lane) {
+      char block[16] = {};
+      block[lane] = c;
+      const swar::u8x16 v = swar::load16(block);
+      EXPECT_EQ(swar::movemask16(swar::word_class16(v)),
+                word ? 1u << lane : 0u)
+          << "byte=" << b << " lane=" << lane;
+      EXPECT_EQ(swar::movemask16(swar::upper_class16(v)),
+                upper ? 1u << lane : 0u)
           << "byte=" << b << " lane=" << lane;
     }
   }
@@ -227,6 +234,113 @@ TEST(ToLowerAscii, MatchesScalarOnRandomInputsIncludingTails) {
     for (char& c : text) c = static_cast<char>(byte_dist(rng));
     EXPECT_EQ(lower_swar(text), lower_scalar(text)) << "len=" << len;
   }
+}
+
+/// `text` copied into an exact-size heap allocation, so ASan flags any
+/// load past its last byte.
+std::unique_ptr<char[]> exact_copy(std::string_view text) {
+  auto buf = std::make_unique<char[]>(text.size());
+  std::memcpy(buf.get(), text.data(), text.size());
+  return buf;
+}
+
+std::string random_text(std::mt19937& rng, std::string_view alphabet,
+                        std::size_t len) {
+  std::uniform_int_distribution<std::size_t> pick{0, alphabet.size() - 1};
+  std::string text(len, '\0');
+  for (char& c : text) c = alphabet[pick(rng)];
+  return text;
+}
+
+std::string all_bytes() {
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) bytes += static_cast<char>(b);
+  return bytes;
+}
+
+TEST(ToLowerAscii, ExactSizeInputsOfEveryLength) {
+  std::mt19937 rng{91u};
+  const std::string alphabet = all_bytes();
+  for (std::size_t len = 0; len <= 200; ++len) {
+    const std::string text = random_text(rng, alphabet, len);
+    const auto buf = exact_copy(text);
+    EXPECT_EQ(lower_swar(std::string_view{buf.get(), len}),
+              lower_scalar(text))
+        << "len=" << len;
+  }
+}
+
+TEST(ForEachWord, ExactSizeInputsOfEveryLength) {
+  // Word-heavy bytes so runs reach the allocation's last byte.
+  std::mt19937 rng{92u};
+  const std::string alphabet = "aZ9 \n\x80" + std::string("bcdefgh");
+  for (std::size_t len = 0; len <= 200; ++len) {
+    const std::string text = random_text(rng, alphabet, len);
+    const auto buf = exact_copy(text);
+    EXPECT_EQ(words_swar(std::string_view{buf.get(), len}),
+              words_scalar(text))
+        << "len=" << len;
+  }
+}
+
+/// Checks find_substring against std::string_view::find for `needle`
+/// over every `from` in 0..text.size()+1, text and needle each in an
+/// exact-size allocation.
+void expect_find_matches_std(std::string_view text, std::string_view needle) {
+  const auto text_buf = exact_copy(text);
+  const auto needle_buf = exact_copy(needle);
+  const std::string_view t{text_buf.get(), text.size()};
+  const std::string_view nd{needle_buf.get(), needle.size()};
+  for (std::size_t from = 0; from <= text.size() + 1; ++from) {
+    ASSERT_EQ(find_substring(t, nd, from), t.find(nd, from))
+        << "text=" << testing::PrintToString(std::string{text})
+        << " needle=" << testing::PrintToString(std::string{needle})
+        << " from=" << from;
+  }
+}
+
+TEST(FindSubstring, MatchesStdFindOverSmallAndFullAlphabets) {
+  std::mt19937 rng{2024u};
+  for (const std::string& alphabet :
+       {std::string("ab"), std::string("abc"), all_bytes()}) {
+    for (int round = 0; round < 24; ++round) {
+      const std::size_t len =
+          std::uniform_int_distribution<std::size_t>{0, 120}(rng);
+      const std::string text = random_text(rng, alphabet, len);
+      for (std::size_t m = 1; m <= 40; ++m) {
+        // A random needle, and (when the text is long enough) one cut
+        // from a random position and one ending at the text's last byte.
+        expect_find_matches_std(text, random_text(rng, alphabet, m));
+        if (m <= len) {
+          const std::size_t at =
+              std::uniform_int_distribution<std::size_t>{0, len - m}(rng);
+          expect_find_matches_std(text, std::string_view{text}.substr(at, m));
+          expect_find_matches_std(text,
+                                  std::string_view{text}.substr(len - m));
+        }
+      }
+    }
+  }
+}
+
+TEST(FindSubstring, SelfOverlappingAndEdgeNeedles) {
+  for (const char* text : {"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+                           "abababababababababababababababababababab",
+                           "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxab",
+                           "abaxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}) {
+    for (const char* needle :
+         {"a", "aa", "aaa", "ab", "abab", "ababa", "aba", "b", "xab", "abax",
+          "xxxxxxxxxxxxxxxxxxxxab", "abaxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}) {
+      expect_find_matches_std(text, needle);
+    }
+  }
+  // Needle longer than the text, and an empty text.
+  expect_find_matches_std("abc", "abcd");
+  expect_find_matches_std("", "a");
+  // An empty needle is found at `from` up to the end, as by find.
+  EXPECT_EQ(find_substring("abc", "", 2), 2u);
+  EXPECT_EQ(find_substring("abc", "", 3), 3u);
+  EXPECT_EQ(find_substring("abc", "", 4), std::string_view::npos);
 }
 
 TEST(StringHash, ReadsNoByteOutsideTheKey) {
