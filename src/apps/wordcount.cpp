@@ -6,6 +6,7 @@
 #include <chrono>
 #include <unordered_map>
 
+#include "core/hash.hpp"
 #include "core/strings.hpp"
 
 namespace mcsd::apps {
@@ -14,55 +15,79 @@ namespace {
 inline char lower(char c) {
   return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
 }
+
+/// The emitter key of a word token of up to 16 bytes, built in registers
+/// (lower_short_word); `end` is the end of the chunk's view.
+mr::StringKey short_word_key(std::string_view token, const char* end) {
+  const ShortWord w = lower_short_word(
+      token.data(), token.size(), static_cast<std::size_t>(end - token.data()));
+  return mr::StringKey::of_words(w.lo, w.hi, token.size());
+}
 }  // namespace
 
-// The map inner loop is fully SWAR/batched: lower-case the chunk once
-// (8 bytes per step), extract word runs from 64-byte class bitmasks, and
-// hand tokens to the emitter in batches so word-at-a-time key hashes
-// overlap across tokens and combiner probes overlap their cache misses.
-// The batch carries this spec, so a combine hit folds inline.  Output is
-// byte-identical to the scalar loop wordcount_sequential keeps as the
+// The map reads the raw chunk once; nothing copies or lower-cases it as a
+// whole.  for_each_word finds word runs from 64-byte class bitmasks (the
+// classifier is case-insensitive), and each token of up to 16 bytes
+// becomes its emitter key in registers: one 16-byte load, lower-cased by
+// the uppercase-class mask and zero-padded by a lane-index mask into two
+// words, which are both the key's hash input and its inline stored form.
+// The key is hashed and probed at once, and a combine hit folds through
+// this spec inline.  Longer tokens (none in the benchmark corpora) are
+// lower-cased into a buffer and emitted through the generic path.  Output
+// is byte-identical to the scalar loop wordcount_sequential keeps as the
 // reference (pinned by property tests).
 void WordCountSpec::map(const mr::TextChunk& chunk,
                         mr::Emitter<Key, Value>& emit) const {
-  using Clock = std::chrono::steady_clock;
+  const char* const end = chunk.text.data() + chunk.text.size();
+  thread_local std::string long_word;
+  const auto emit_long = [&](std::string_view token) {
+    long_word.resize(token.size());
+    std::transform(token.begin(), token.end(), long_word.begin(), lower);
+    emit.emit(std::string_view{long_word}, 1);
+  };
+
   mr::EmitAttribution* attr = emit.attribution();
-  const auto map_start = attr ? Clock::now() : Clock::time_point{};
-  const std::uint64_t emit_ns_before =
-      attr ? attr->hash_ns + attr->probe_ns : 0;
+  if (attr == nullptr) {
+    for_each_word(chunk.text, [&](std::string_view token) {
+      if (token.size() > kShortKeyBytes) {
+        emit_long(token);
+      } else {
+        emit.emit(short_word_key(token, end), 1, *this);
+      }
+    });
+    return;
+  }
 
-  // One lower-case pass over the whole chunk instead of per-token case
-  // fixing; the buffer is worker-private and reused across chunks.  Views
-  // into it only need to live through the emit calls below — the emitter
-  // copies first-seen keys into its arena.
-  thread_local std::vector<char> lowered;
-  to_lower_ascii(chunk.text, lowered);
-  const std::string_view text{lowered.data(), lowered.size()};
-
-  std::array<std::string_view, mr::Emitter<Key, Value>::kMaxBatch> batch;
+  // Attributed runs (Options.attribute_map_cycles) do the same steps
+  // staged in 64-key batches, so the emitter can clock hashing and
+  // probing apart; tokenize is the rest of this call (see
+  // EmitAttribution).  The staging costs a little over the fused loop
+  // above, so the three parts sum to slightly more than a plain run's map.
+  using Clock = std::chrono::steady_clock;
+  const auto map_start = Clock::now();
+  const std::uint64_t emit_ns_before = attr->hash_ns + attr->probe_ns;
+  std::array<mr::StringKey, mr::Emitter<Key, Value>::kMaxBatch> batch;
   std::size_t filled = 0;
-  for_each_word(text, [&](std::string_view token) {
-    batch[filled++] = token;
+  for_each_word(chunk.text, [&](std::string_view token) {
+    if (token.size() > kShortKeyBytes) {
+      emit_long(token);
+      return;
+    }
+    batch[filled++] = short_word_key(token, end);
     if (filled == batch.size()) {
-      emit.emit_batch(std::span<const std::string_view>{batch.data(), filled},
-                      1, *this);
+      emit.emit_batch(std::span<const mr::StringKey>{batch.data(), filled}, 1,
+                      *this);
       filled = 0;
     }
   });
   if (filled != 0) {
-    emit.emit_batch(std::span<const std::string_view>{batch.data(), filled},
-                    1, *this);
+    emit.emit_batch(std::span<const mr::StringKey>{batch.data(), filled}, 1,
+                    *this);
   }
-
-  if (attr != nullptr) {
-    // Tokenize time = this call's wall time minus what the emitter just
-    // booked to hashing and probing.
-    const auto total_ns = static_cast<std::uint64_t>(
-        std::chrono::nanoseconds(Clock::now() - map_start).count());
-    const std::uint64_t emit_ns =
-        attr->hash_ns + attr->probe_ns - emit_ns_before;
-    attr->tokenize_ns += total_ns > emit_ns ? total_ns - emit_ns : 0;
-  }
+  const auto total_ns = static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(Clock::now() - map_start).count());
+  const std::uint64_t emit_ns = attr->hash_ns + attr->probe_ns - emit_ns_before;
+  attr->tokenize_ns += total_ns > emit_ns ? total_ns - emit_ns : 0;
 }
 
 std::vector<WordCount> wordcount_sequential(std::string_view text) {

@@ -8,6 +8,7 @@
 // smartFAM frame checksum (fam/protocol.cpp).
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -45,38 +46,77 @@ inline std::uint64_t mul_fold(std::uint64_t a, std::uint64_t b) noexcept {
 }
 }  // namespace detail
 
-/// String-key hash.  Never reads outside `key`: keys of 8-16 bytes take
-/// two overlapping 8-byte loads, 4-7 bytes two overlapping 4-byte loads,
-/// 1-3 bytes a gather of the first, middle and last byte; longer keys
-/// fold one 8-byte word per step until 16 or fewer bytes remain.  The
-/// length seeds the state (the short-key loads overlap, so it is what
-/// tells "aa" from "a"), and the last two words meet in one 128-bit
-/// multiply.  Word loads are host-endian: values are stable across runs
-/// on one platform, which is all routing and grouping need.
+/// Seeds and multipliers of string_hash / short_key_hash.
+inline constexpr std::uint64_t kHashSeed = 0xA0761D6478BD642FULL;
+inline constexpr std::uint64_t kHashMulA = 0xE7037ED1A0B428DBULL;
+inline constexpr std::uint64_t kHashMulB = 0x8EBC6AF09C88C6E3ULL;
+
+/// Longest key that string_hash takes as two zero-padded words, and that
+/// the emitter stores inline.
+inline constexpr std::size_t kShortKeyBytes = 16;
+
+/// Hash of a key of n <= 16 bytes given as its bytes zero-padded to 16
+/// and read as two host-endian words: one 128-bit multiply.  The length
+/// seeds the second word, so "a" and "a\0" differ.  Word Count's map
+/// builds the words in registers from its 16-byte token load and calls
+/// this directly; string_hash reaches it for every short key.
+inline std::uint64_t short_key_hash(std::uint64_t lo, std::uint64_t hi,
+                                    std::size_t n) noexcept {
+  return detail::mul_fold(lo ^ kHashMulA, hi ^ (kHashSeed ^ n));
+}
+
+// The short-key words are built by little-endian shifts, which must agree
+// with a memcpy of the zero-padded bytes (what the 16-byte token load
+// gives).  The block scans in core/strings.hpp assume the same lane order.
+static_assert(std::endian::native == std::endian::little,
+              "short-key words assume a little-endian host");
+
+/// The n <= 16 bytes at p, zero-padded to 16, as two host-endian words.
+/// Never reads outside [p, p + n): 8-16 bytes take two overlapping 8-byte
+/// loads, 4-7 bytes two overlapping 4-byte loads, 1-3 bytes a gather of
+/// the first, middle and last byte; the overlapping bytes are shifted
+/// out or OR-ed onto themselves.
+inline void load_short_key(const char* p, std::size_t n, std::uint64_t& lo,
+                           std::uint64_t& hi) noexcept {
+  assert(n <= kShortKeyBytes);
+  lo = 0;
+  hi = 0;
+  if (n >= 8) {
+    lo = detail::load_u64(p);
+    if (n > 8) hi = detail::load_u64(p + n - 8) >> (8 * (16 - n));
+  } else if (n >= 4) {
+    lo = detail::load_u32(p) | (detail::load_u32(p + n - 4) << (8 * (n - 4)));
+  } else if (n > 0) {
+    lo = std::uint64_t{static_cast<std::uint8_t>(p[0])} |
+         (std::uint64_t{static_cast<std::uint8_t>(p[n >> 1])}
+          << (8 * (n >> 1))) |
+         (std::uint64_t{static_cast<std::uint8_t>(p[n - 1])} << (8 * (n - 1)));
+  }
+}
+
+/// String-key hash.  Never reads outside `key`.  Keys of up to 16 bytes
+/// hash as short_key_hash over their zero-padded words; longer keys fold
+/// one 8-byte word per step until 16 or fewer bytes remain, then the last
+/// two (overlapping) words meet in one 128-bit multiply.  The length
+/// seeds the state.  Word loads are host-endian: values are stable across
+/// runs on one platform, which is all routing and grouping need (nothing
+/// persists a hash).
 inline std::uint64_t string_hash(std::string_view key) noexcept {
-  constexpr std::uint64_t kSeed = 0xA0761D6478BD642FULL;
-  constexpr std::uint64_t kMulA = 0xE7037ED1A0B428DBULL;
-  constexpr std::uint64_t kMulB = 0x8EBC6AF09C88C6E3ULL;
   const char* p = key.data();
   std::size_t n = key.size();
-  std::uint64_t state = kSeed ^ n;
+  if (n <= kShortKeyBytes) {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    load_short_key(p, n, lo, hi);
+    return short_key_hash(lo, hi, n);
+  }
+  std::uint64_t state = kHashSeed ^ n;
   for (; n > 16; p += 8, n -= 8) {
-    state = detail::mul_fold(detail::load_u64(p) ^ kMulA, state ^ kMulB);
+    state = detail::mul_fold(detail::load_u64(p) ^ kHashMulA,
+                             state ^ kHashMulB);
   }
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  if (n >= 8) {
-    a = detail::load_u64(p);
-    b = detail::load_u64(p + n - 8);
-  } else if (n >= 4) {
-    a = detail::load_u32(p);
-    b = detail::load_u32(p + n - 4);
-  } else if (n > 0) {
-    a = (std::uint64_t{static_cast<std::uint8_t>(p[0])} << 16) |
-        (std::uint64_t{static_cast<std::uint8_t>(p[n >> 1])} << 8) |
-        static_cast<std::uint8_t>(p[n - 1]);
-  }
-  return detail::mul_fold(a ^ kMulA, b ^ state);
+  return detail::mul_fold(detail::load_u64(p) ^ kHashMulA,
+                          detail::load_u64(p + n - 8) ^ state);
 }
 
 /// Stafford's Mix13 finaliser: scrambles integer keys so that sequential

@@ -62,23 +62,6 @@ bool ends_with(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-void to_lower_ascii(std::string_view text, std::vector<char>& out) {
-  out.resize(text.size());
-  const char* src = text.data();
-  char* dst = out.data();
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  for (; i + 16 <= n; i += 16) {
-    const swar::u8x16 block = swar::load16(src + i);
-    const swar::u8x16 lowered = block | (swar::upper_class16(block) & 0x20);
-    std::memcpy(dst + i, &lowered, sizeof(lowered));
-  }
-  for (; i < n; ++i) {
-    const char c = src[i];
-    dst[i] = (c >= 'A' && c <= 'Z') ? static_cast<char>(c + 0x20) : c;
-  }
-}
-
 std::size_t find_substring(std::string_view text, std::string_view needle,
                            std::size_t from) noexcept {
   const std::size_t n = text.size();

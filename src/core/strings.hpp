@@ -3,9 +3,9 @@
 // Nothing here allocates unless the return type requires it; inputs are
 // std::string_view throughout (C++ Core Guidelines F.15/F.16).
 //
-// The block-scan helpers (swar::, to_lower_ascii, for_each_word,
+// The block-scan helpers (swar::, lower_short_word, for_each_word,
 // find_substring) power the map-phase inner loops of Word Count and
-// String Match: byte classification, lower-casing and substring
+// String Match: byte classification, token lower-casing and substring
 // candidate tests run 16 bytes per step on a portable byte-vector type,
 // with no target-specific intrinsics, and token extraction walks a
 // 64-byte bitmask with countr_zero/countr_one instead of a per-byte
@@ -107,11 +107,37 @@ inline std::uint32_t movemask16(u8x16 lanes) noexcept {
 
 }  // namespace swar
 
-/// ASCII-lowercases `text` into `out` (resized to match), 16 bytes per
-/// step: the uppercase lanes' class mask, cut down to 0x20, is OR-ed
-/// straight in.  Bytes >= 0x80 pass through untouched, matching
-/// std::tolower under the C locale.
-void to_lower_ascii(std::string_view text, std::vector<char>& out);
+/// A word token of 1..16 bytes, ASCII-lower-cased and zero-padded to 16
+/// bytes, as two host-endian words: the form core/hash.hpp's
+/// short_key_hash and the emitter's inline keys take.
+struct ShortWord {
+  std::uint64_t lo;
+  std::uint64_t hi;
+};
+
+/// Builds the ShortWord of the token [p, p + n), n <= 16, from one 16-byte
+/// load when `readable` (the bytes from p to the end of the caller's
+/// view) is at least 16, and otherwise from a bounded n-byte copy, so no
+/// byte outside the view is read.  The uppercase lanes' class mask, cut
+/// down to 0x20, is OR-ed in; a lane-index compare zeroes lanes >= n.
+/// Bytes >= 0x80 pass through untouched, matching std::tolower under the
+/// C locale (word tokens never hold them).
+inline ShortWord lower_short_word(const char* p, std::size_t n,
+                                  std::size_t readable) noexcept {
+  static constexpr swar::u8x16 kLane = {0, 1, 2,  3,  4,  5,  6,  7,
+                                        8, 9, 10, 11, 12, 13, 14, 15};
+  swar::u8x16 v{};
+  if (readable >= 16) {
+    v = swar::load16(p);
+  } else {
+    std::memcpy(&v, p, n);
+  }
+  v |= swar::upper_class16(v) & 0x20;
+  v &= reinterpret_cast<swar::u8x16>(kLane < static_cast<std::uint8_t>(n));
+  ShortWord w;
+  std::memcpy(&w, &v, sizeof(w));
+  return w;
+}
 
 /// The first position >= `from` where `needle` occurs in `text`, or npos.
 /// For a non-empty needle this is exactly `text.find(needle, from)`; an

@@ -14,22 +14,26 @@
 // key folds into the stored pair in O(1) amortised instead of being
 // appended and sorted away later.
 //
-// Key storage (string keys): first-insert keys are copied into a
-// worker-private bump arena and stored as std::string_view — one pointer
-// bump per unique key instead of one std::string heap allocation per
-// unique key per bucket, and pairs shrink from 48 to 32 bytes, which the
-// reduce-phase gather+sort moves around.  Re-emits of a known key (the
-// common case under Zipfian word distributions) never copy at all.  The
-// views stay valid until reset(); the engine keeps emitters alive across
-// the reduce phase and materialises owned keys only into the final
-// output.  reset() rewinds the arena and clears the buckets *keeping
-// their capacity*, so per-fragment reuse (the out-of-core driver) costs
-// O(buckets) bookkeeping, not an allocator round-trip per key.
+// Key storage (string keys): a stored pair holds its key as a StringKey.
+// Keys of up to 16 bytes (every word of the benchmark corpora) live
+// inline as their zero-padded bytes in two words plus the length, so a
+// combine hit compares the cached hash and two words in the pair itself:
+// no arena load, no memcmp.  Only longer keys are copied into a
+// worker-private bump arena, one pointer bump per unique long key; no
+// key costs a std::string heap allocation.  Re-emits of a known key (the
+// common case under Zipfian word distributions) never copy at all.  Long
+// keys' arena bytes stay valid until reset(); the engine keeps emitters
+// alive across the reduce phase and materialises owned keys only into
+// the final output.  reset() rewinds the arena and clears the buckets
+// *keeping their capacity*, so per-fragment reuse (the out-of-core
+// driver) costs O(buckets) bookkeeping, not an allocator round-trip per
+// key.
 #pragma once
 
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -59,10 +63,88 @@ inline void prefetch_read(const void* p) noexcept {
 }
 }  // namespace detail
 
+/// A string key as the emitter stores it.  A key of up to 16 bytes is held
+/// inline: its bytes zero-padded to 16 and read as two host-endian words
+/// (core/hash.hpp's short-key form), plus its length, which tells "a"
+/// from "a\0".  A longer key holds a pointer to its bytes: the caller's
+/// while it is only a probe, the emitter's arena once stored.  Trivially
+/// copyable, so pairs move by value in sorts; view() of an inline key
+/// points into the StringKey itself and lives as long as it stays put.
+class StringKey {
+ public:
+  StringKey() = default;
+
+  /// `key` with its bytes copied inline if short, else borrowed.
+  static StringKey of(std::string_view key) noexcept {
+    StringKey k;
+    k.size_ = key.size();
+    if (k.is_inline()) {
+      load_short_key(key.data(), key.size(), k.words_[0], k.words_[1]);
+    } else {
+      const char* p = key.data();
+      std::memcpy(&k.words_[0], &p, sizeof p);
+    }
+    return k;
+  }
+
+  /// An inline key from its zero-padded words (n <= 16).
+  static StringKey of_words(std::uint64_t lo, std::uint64_t hi,
+                            std::size_t n) noexcept {
+    assert(n <= kShortKeyBytes);
+    StringKey k;
+    k.words_[0] = lo;
+    k.words_[1] = hi;
+    k.size_ = n;
+    return k;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool is_inline() const noexcept {
+    return size_ <= kShortKeyBytes;
+  }
+
+  [[nodiscard]] std::string_view view() const noexcept {
+    if (is_inline()) {
+      return {reinterpret_cast<const char*>(words_), size_};
+    }
+    const char* p;
+    std::memcpy(&p, &words_[0], sizeof p);
+    return {p, size_};
+  }
+  operator std::string_view() const noexcept { return view(); }
+
+  /// string_hash(view()), without re-reading inline bytes.
+  [[nodiscard]] std::uint64_t hash() const noexcept {
+    return is_inline() ? short_key_hash(words_[0], words_[1], size_)
+                       : string_hash(view());
+  }
+
+  friend bool operator==(const StringKey& a, const StringKey& b) noexcept {
+    if (a.size_ != b.size_) return false;
+    if (a.is_inline()) {
+      return ((a.words_[0] ^ b.words_[0]) | (a.words_[1] ^ b.words_[1])) == 0;
+    }
+    return std::memcmp(a.view().data(), b.view().data(), a.size_) == 0;
+  }
+  friend bool operator<(const StringKey& a, const StringKey& b) noexcept {
+    return a.view() < b.view();
+  }
+
+ private:
+  std::uint64_t words_[2] = {0, 0};
+  std::size_t size_ = 0;
+};
+
 /// Cycle-attribution sink for the map inner loop, one per worker (see
-/// Options.attribute_map_cycles).  The emitter's batched emit path fills
-/// hash_ns / probe_ns; the map function owns tokenize_ns (its time
-/// outside the emitter).  Plain counters, owner-thread-only.
+/// Options.attribute_map_cycles).  emit_batch() fills hash_ns (hashing a
+/// batch's keys) and probe_ns (their combiner probe, fold or insert); the
+/// map function owns tokenize_ns, its time outside the emitter.  For Word
+/// Count, tokenize is the word-class scan, token extraction and building
+/// each key's lower-cased, zero-padded words, so hash is only the one
+/// multiply per key.  Word Count's plain runs do the three steps fused per
+/// token; attributed runs stage them in 64-key batches so each can be
+/// clocked, which costs a little more than the fused loop.  Plain
+/// counters, owner-thread-only.
 struct EmitAttribution {
   std::uint64_t tokenize_ns = 0;
   std::uint64_t hash_ns = 0;
@@ -72,19 +154,21 @@ struct EmitAttribution {
 template <typename K, typename V>
 class Emitter {
  public:
-  /// String keys are stored as views into the emitter's arena; every
-  /// other key type is stored inline in the pair.
-  static constexpr bool kArenaKeys = std::is_same_v<K, std::string>;
-  using StoredKey = std::conditional_t<kArenaKeys, std::string_view, K>;
+  /// String keys are stored as StringKeys (inline when short, arena
+  /// backed when long); every other key type is stored as itself.
+  static constexpr bool kStringKeys = std::is_same_v<K, std::string>;
+  using StoredKey = std::conditional_t<kStringKeys, StringKey, K>;
+  /// What a combiner sees of a stored key: a view for string keys.
+  using KeyView = std::conditional_t<kStringKeys, std::string_view, K>;
   using Pair = HKV<StoredKey, V>;
 
   /// Binary fold used for emit-time combining: returns the merged value
   /// for `key` given the stored accumulator and one incoming value.
   /// A plain function pointer (plus an opaque spec pointer) keeps the
   /// per-duplicate cost to one indirect call — no std::function, no
-  /// allocation.  The key arrives as the *stored* representation (a view
-  /// for string keys) so a combine hit never materialises a std::string.
-  using CombineFn = V (*)(const void* ctx, const StoredKey& key,
+  /// allocation.  The key arrives as a KeyView (a view for string keys)
+  /// so a combine hit never materialises a std::string.
+  using CombineFn = V (*)(const void* ctx, const KeyView& key,
                           const V& accumulated, const V& incoming);
 
   explicit Emitter(std::size_t num_buckets) : buckets_(num_buckets) {}
@@ -101,55 +185,83 @@ class Emitter {
   /// Routes one pair to its reduce bucket, folding into an existing pair
   /// when a combiner is installed and the key was seen before.
   void emit(K key, V value) {
-    const std::uint64_t h = KeyHash<K>{}(key);
-    emit_hashed(std::move(key), std::move(value), h, installed_fold());
+    if constexpr (kStringKeys) {
+      emit(std::string_view{key}, std::move(value));
+    } else {
+      const std::uint64_t h = KeyHash<K>{}(key);
+      emit_hashed(std::move(key), std::move(value), h, installed_fold());
+    }
   }
 
-  /// String-key fast path: probes with the view and copies the bytes into
-  /// the arena only on first insert.  `key` need only stay valid for this
-  /// call.
+  /// String-key fast path: probes with the key's StringKey and copies a
+  /// long key's bytes into the arena only on first insert.  `key` need
+  /// only stay valid for this call.
   void emit(std::string_view key, V value)
-    requires kArenaKeys
+    requires kStringKeys
   {
-    const std::uint64_t h = KeyHash<K>{}(key);
-    emit_hashed(key, std::move(value), h, installed_fold());
+    const StringKey probe = StringKey::of(key);
+    emit_hashed(probe, std::move(value), probe.hash(), installed_fold());
+  }
+
+  /// Emit for a map function that builds its keys and knows its spec
+  /// (Word Count's per-token path): the key's hash comes from its words
+  /// (StringKey::hash) and a combine hit folds through `spec.combine`
+  /// inline instead of the installed CombineFn's indirect call.  `spec`
+  /// must be the spec whose combiner the engine installed (a map function
+  /// passes `*this`), so both folds give the same value; its combine must
+  /// accept a KeyView (a string_view).  A long key's bytes need only stay
+  /// valid for this call.
+  template <typename Spec>
+  void emit(const StringKey& key, V value, const Spec& spec)
+    requires kStringKeys
+  {
+    emit_hashed(key, std::move(value), key.hash(), spec_fold(spec));
   }
 
   /// Upper bound on emit_batch() input size.
   static constexpr std::size_t kMaxBatch = 64;
 
-  /// Batched string-key emit, all tokens carrying the same value (the
-  /// Word Count shape: every token counts 1).  Two passes: (1) hash every
-  /// token — independent word-at-a-time hashes, so their multiplies
-  /// overlap across tokens; (2) probe/insert, prefetching each token's
-  /// slot line a few tokens ahead so combiner-probe cache misses overlap
-  /// too.  Emits are routed and folded exactly as per-token emit() would
-  /// — same hashes, same bucket order, same counters.
-  void emit_batch(std::span<const std::string_view> tokens, const V& value)
-    requires kArenaKeys
-  {
-    emit_batch_folding(tokens, value, installed_fold());
-  }
-
-  /// emit_batch() for a map function that knows its spec: a combine hit
-  /// folds through `spec.combine` inline instead of the installed
-  /// CombineFn's indirect call.  `spec` must be the spec whose combiner
-  /// the engine installed (a map function passes `*this`), so both folds
-  /// give the same value; its combine must accept the stored key (a
-  /// string_view).  With no combiner installed nothing folds, as in
-  /// emit_batch().
+  /// Batched string-key emit, all keys carrying the same value (the Word
+  /// Count shape: every token counts 1); a long key's bytes need only stay
+  /// valid for this call.  Two passes, each clocked into the attribution
+  /// sink when one is installed: (1) hash every key; (2) probe/insert,
+  /// prefetching each key's slot line a few keys ahead.  Emits are routed
+  /// and folded exactly as per-key emit() would — same hashes, same
+  /// bucket order, same counters.  Word Count's map uses it only on
+  /// attributed runs, where the split clock needs the stages apart; its
+  /// plain runs emit per key, which measured faster than the two-pass
+  /// schedule.  A combine hit folds through `spec.combine` inline, under
+  /// the same contract as emit(key, value, spec).
   template <typename Spec>
-  void emit_batch(std::span<const std::string_view> tokens, const V& value,
+  void emit_batch(std::span<const StringKey> keys, const V& value,
                   const Spec& spec)
-    requires kArenaKeys
+    requires kStringKeys
   {
-    emit_batch_folding(tokens, value,
-                       [&spec](const StoredKey& key, const V& accumulated,
-                               const V& incoming) {
-                         const V pairwise[2] = {accumulated, incoming};
-                         return spec.combine(key,
-                                             std::span<const V>{pairwise});
-                       });
+    const auto fold = spec_fold(spec);
+    assert(keys.size() <= kMaxBatch);
+    using Clock = std::chrono::steady_clock;
+    std::uint64_t hashes[kMaxBatch];
+    const auto hash_start = attribution_ ? Clock::now() : Clock::time_point{};
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      hashes[i] = keys[i].hash();
+    }
+    Clock::time_point probe_start{};
+    if (attribution_ != nullptr) {
+      probe_start = Clock::now();
+      attribution_->hash_ns += static_cast<std::uint64_t>(
+          std::chrono::nanoseconds(probe_start - hash_start).count());
+    }
+    constexpr std::size_t kPrefetchAhead = 4;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (i + kPrefetchAhead < keys.size()) {
+        prefetch_slot(hashes[i + kPrefetchAhead]);
+      }
+      emit_hashed(keys[i], V(value), hashes[i], fold);
+    }
+    if (attribution_ != nullptr) {
+      attribution_->probe_ns += static_cast<std::uint64_t>(
+          std::chrono::nanoseconds(Clock::now() - probe_start).count());
+    }
   }
 
   /// Installs (or clears) the per-worker attribution sink the batched
@@ -184,10 +296,10 @@ class Emitter {
   /// `b` through the installed combiner — the reduce phase's cross-worker
   /// merge.  One O(1) probe per incoming pair replaces the gather+sort
   /// over every worker's pairs; only the surviving unique pairs are ever
-  /// sorted.  Absorbed first-seen pairs *share* their key storage: the
-  /// views keep pointing into src's arena, which must stay un-reset while
-  /// this bucket's pairs are in use (the engine keeps all emitters alive
-  /// through reduce/merge).  Counters and byte metering are untouched —
+  /// sorted.  Absorbed first-seen pairs copy inline keys and *share* long
+  /// keys' storage: those keep pointing into src's arena, which must stay
+  /// un-reset while this bucket's pairs are in use (the engine keeps all
+  /// emitters alive through reduce/merge).  Counters and byte metering are untouched —
   /// absorb runs after the map-side accounting has been read.
   void absorb_bucket(std::size_t b, const Emitter& src) {
     assert(combine_ != nullptr &&
@@ -222,7 +334,7 @@ class Emitter {
   }
 
   /// Rewinds the emitter for reuse: buckets and slot tables are cleared
-  /// keeping capacity, the key arena is rewound (all stored views become
+  /// keeping capacity, the key arena is rewound (stored long keys become
   /// invalid), counters zero, and the combiner is uninstalled so the next
   /// run can bind a different spec.  Teardown of a fragment's worth of
   /// keys is exactly one arena reset — no per-key frees.
@@ -250,8 +362,9 @@ class Emitter {
   [[nodiscard]] std::size_t combine_hits() const noexcept {
     return count_ - stored_;
   }
-  /// Approximate intermediate bytes held: sizeof(pair) per stored pair
-  /// plus, for string keys, the arena bytes the key's copy consumed.
+  /// Approximate intermediate bytes held: sizeof(Pair) per stored pair
+  /// plus, for string keys longer than 16 bytes, the arena bytes the
+  /// key's copy consumed (an inline key costs nothing beyond its pair).
   /// Grows only when a pair is inserted; emit-time combining keeps this
   /// monotone in emit order.
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
@@ -278,42 +391,24 @@ class Emitter {
 
   /// The installed CombineFn as a fold: one indirect call per hit.
   auto installed_fold() const noexcept {
-    return [this](const StoredKey& key, const V& accumulated,
+    return [this](const KeyView& key, const V& accumulated,
                   const V& incoming) {
       return combine_(combine_ctx_, key, accumulated, incoming);
     };
   }
 
-  template <typename Fold>
-  void emit_batch_folding(std::span<const std::string_view> tokens,
-                          const V& value, const Fold& fold) {
-    assert(tokens.size() <= kMaxBatch);
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t hashes[kMaxBatch];
-    const auto hash_start = attribution_ ? Clock::now() : Clock::time_point{};
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      hashes[i] = KeyHash<K>{}(tokens[i]);
-    }
-    Clock::time_point probe_start{};
-    if (attribution_ != nullptr) {
-      probe_start = Clock::now();
-      attribution_->hash_ns += static_cast<std::uint64_t>(
-          std::chrono::nanoseconds(probe_start - hash_start).count());
-    }
-    constexpr std::size_t kPrefetchAhead = 4;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      if (i + kPrefetchAhead < tokens.size()) {
-        prefetch_slot(hashes[i + kPrefetchAhead]);
-      }
-      emit_hashed(tokens[i], V(value), hashes[i], fold);
-    }
-    if (attribution_ != nullptr) {
-      attribution_->probe_ns += static_cast<std::uint64_t>(
-          std::chrono::nanoseconds(Clock::now() - probe_start).count());
-    }
+  /// `spec.combine` as a fold, for the emit paths that take the spec.
+  /// With no combiner installed emit_hashed never calls it.
+  template <typename Spec>
+  static auto spec_fold(const Spec& spec) noexcept {
+    return [&spec](const KeyView& key, const V& accumulated,
+                   const V& incoming) {
+      const V pairwise[2] = {accumulated, incoming};
+      return spec.combine(key, std::span<const V>{pairwise});
+    };
   }
 
-  /// Warms the slot line a token a few positions ahead will probe.
+  /// Warms the slot line a key a few positions ahead will probe.
   void prefetch_slot(std::uint64_t h) const noexcept {
     const Bucket& bucket = buckets_[hash_to_bucket(h, buckets_.size())];
     if (!bucket.slots.empty()) {
@@ -361,10 +456,14 @@ class Emitter {
 
   template <typename KeyLike>
   void insert(Bucket& bucket, KeyLike&& key, V value, std::uint64_t h) {
-    if constexpr (kArenaKeys) {
-      const std::string_view stored = arena_.store(std::string_view{key});
+    if constexpr (kStringKeys) {
+      StringKey stored = key;
+      if (!stored.is_inline()) {
+        stored = StringKey::of(arena_.store(stored.view()));
+        bytes_ += stored.size();
+      }
       bucket.pairs.push_back(Pair{stored, std::move(value), h});
-      bytes_ += sizeof(Pair) + stored.size();
+      bytes_ += sizeof(Pair);
     } else {
       bucket.pairs.push_back(
           Pair{K(std::forward<KeyLike>(key)), std::move(value), h});

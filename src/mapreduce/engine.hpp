@@ -98,12 +98,12 @@ concept MapsChunk =
     requires(const S& s, const C& c,
              Emitter<typename S::Key, typename S::Value>& e) { s.map(c, e); };
 
-/// Detects a `combine` that accepts the emitter's *stored* key
-/// representation (a string_view for string keys) directly — the
-/// allocation-free fast path.  Specs whose combine insists on `const
+/// Detects a `combine` that accepts the emitter's KeyView of a stored key
+/// (a string_view for string keys) directly — the allocation-free fast
+/// path.  Specs whose combine insists on `const
 /// Key&` still work; the engine materialises a temporary key per fold.
 template <typename S, typename SK>
-concept CombinesStoredKey =
+concept CombinesKeyView =
     requires(const S& s, const SK& k,
              std::span<const typename S::Value> vs) {
       { s.combine(k, vs) } -> std::convertible_to<typename S::Value>;
@@ -141,9 +141,9 @@ class Engine {
   using Value = typename Spec::Value;
   using Pair = KV<Key, Value>;
   /// Intermediate pairs as the emitter stores them: cached key hash plus
-  /// the stored key representation (arena-backed view for string keys).
+  /// the stored key representation (a StringKey for string keys).
   using StoredPair = typename Emitter<Key, Value>::Pair;
-  using StoredKey = typename Emitter<Key, Value>::StoredKey;
+  using KeyView = typename Emitter<Key, Value>::KeyView;
   using Output = std::vector<Pair>;
 
   explicit Engine(Options options)
@@ -361,7 +361,8 @@ class Engine {
               Output& out = bucket_outputs[*b];
               out.reserve(gathered.size());
               for (auto& p : gathered) {
-                // Stored keys may be arena views; the output owns its keys.
+                // Stored keys may point into an arena; the output owns its
+                // keys.
                 out.push_back(Pair{Key(p.key), std::move(p.value)});
               }
             }
@@ -464,11 +465,11 @@ class Engine {
     if constexpr (HasCombine<Spec>) {
       for (auto& ws : worker_state_) {
         ws.emitter.set_combiner(
-            &spec, [](const void* ctx, const StoredKey& key, const Value& acc,
+            &spec, [](const void* ctx, const KeyView& key, const Value& acc,
                       const Value& incoming) {
               const Value pairwise[2] = {acc, incoming};
               const auto* s = static_cast<const Spec*>(ctx);
-              if constexpr (CombinesStoredKey<Spec, StoredKey>) {
+              if constexpr (CombinesKeyView<Spec, KeyView>) {
                 return s->combine(key, std::span<const Value>{pairwise});
               } else {
                 // Fold hook insists on an owned key: materialise one per
@@ -505,7 +506,7 @@ class Engine {
       }
       // Materialise the owned output key first and hand *it* to the
       // user's reduce: specs keep their `const Key&` signature, and the
-      // arena view is copied exactly once, into the output pair.
+      // stored key is copied exactly once, into the output pair.
       Key key{gathered[i].key};
       Value reduced = spec.reduce(key, std::span<const Value>{scratch});
       out.push_back(Pair{std::move(key), std::move(reduced)});

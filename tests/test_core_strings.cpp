@@ -128,12 +128,6 @@ std::string lower_scalar(std::string_view text) {
   return out;
 }
 
-std::string lower_swar(std::string_view text) {
-  std::vector<char> buf;
-  to_lower_ascii(text, buf);
-  return std::string{buf.data(), buf.size()};
-}
-
 TEST(SwarClasses, WordClass16MatchesScalarForEveryByteInEveryLane) {
   for (int b = 0; b < 256; ++b) {
     const char c = static_cast<char>(b);
@@ -219,23 +213,6 @@ TEST(ForEachWord, TokensSpanningStripeBoundaries) {
   EXPECT_EQ(words_swar(all_word), words_scalar(all_word));
 }
 
-TEST(ToLowerAscii, MatchesScalarOnAllBytes) {
-  std::string all;
-  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
-  all += all;  // exercise the 8-byte loop across repeats
-  EXPECT_EQ(lower_swar(all), lower_scalar(all));
-}
-
-TEST(ToLowerAscii, MatchesScalarOnRandomInputsIncludingTails) {
-  std::mt19937 rng{77u};
-  std::uniform_int_distribution<int> byte_dist{0, 255};
-  for (std::size_t len = 0; len < 40; ++len) {
-    std::string text(len, '\0');
-    for (char& c : text) c = static_cast<char>(byte_dist(rng));
-    EXPECT_EQ(lower_swar(text), lower_scalar(text)) << "len=" << len;
-  }
-}
-
 /// `text` copied into an exact-size heap allocation, so ASan flags any
 /// load past its last byte.
 std::unique_ptr<char[]> exact_copy(std::string_view text) {
@@ -256,18 +233,6 @@ std::string all_bytes() {
   std::string bytes;
   for (int b = 0; b < 256; ++b) bytes += static_cast<char>(b);
   return bytes;
-}
-
-TEST(ToLowerAscii, ExactSizeInputsOfEveryLength) {
-  std::mt19937 rng{91u};
-  const std::string alphabet = all_bytes();
-  for (std::size_t len = 0; len <= 200; ++len) {
-    const std::string text = random_text(rng, alphabet, len);
-    const auto buf = exact_copy(text);
-    EXPECT_EQ(lower_swar(std::string_view{buf.get(), len}),
-              lower_scalar(text))
-        << "len=" << len;
-  }
 }
 
 TEST(ForEachWord, ExactSizeInputsOfEveryLength) {
@@ -381,6 +346,109 @@ TEST(StringHash, EqualKeysHashEquallyWhereverTheyLive) {
     EXPECT_EQ(KeyHash<std::string>{}(view), h) << "len=" << len;
     EXPECT_EQ(KeyHash<std::string>{}(stored), h) << "len=" << len;
     EXPECT_EQ(mcsd_key_hash(owned), h) << "len=" << len;
+  }
+}
+
+TEST(StringHash, ShortKeysHashAsTheirZeroPaddedWords) {
+  // Keys of up to 16 bytes hash as short_key_hash over their bytes
+  // zero-padded to 16; the length tells keys apart that differ only in
+  // trailing NULs.
+  std::mt19937 rng{18u};
+  const std::string alphabet = all_bytes();
+  for (std::size_t len = 0; len <= kShortKeyBytes; ++len) {
+    for (int round = 0; round < 20; ++round) {
+      const std::string key = random_text(rng, alphabet, len);
+      std::uint64_t words[2] = {0, 0};
+      std::memcpy(words, key.data(), len);
+      EXPECT_EQ(string_hash(key), short_key_hash(words[0], words[1], len))
+          << "len=" << len;
+      const auto buf = exact_copy(key);
+      std::uint64_t lo = 1;
+      std::uint64_t hi = 1;
+      load_short_key(buf.get(), len, lo, hi);
+      EXPECT_EQ(lo, words[0]) << "len=" << len;
+      EXPECT_EQ(hi, words[1]) << "len=" << len;
+    }
+  }
+  EXPECT_NE(string_hash(std::string_view{"a", 1}),
+            string_hash(std::string_view{"a\0", 2}));
+  EXPECT_NE(string_hash(std::string_view{}),
+            string_hash(std::string_view{"\0", 1}));
+}
+
+// ---------------------------------------------------------------------------
+// lower_short_word: Word Count's fused key builder.
+// ---------------------------------------------------------------------------
+
+/// Checks lower_short_word on `token` against string_hash of the scalar
+/// lower-cased token, with the token at the very end of an exact-size
+/// heap allocation (bounded-copy path; ASan flags any over-read) and with
+/// garbage bytes after it (16-byte-load path; the padding must hide them).
+void expect_short_word_matches(std::string_view token) {
+  const std::size_t n = token.size();
+  const std::string lowered = lower_scalar(token);
+  std::uint64_t words[2] = {0, 0};
+  std::memcpy(words, lowered.data(), n);
+  const std::uint64_t hash = string_hash(lowered);
+
+  const auto tail = exact_copy(token);
+  std::string padded{token};
+  padded += "\xff\x41Zz9 garbage bytes";
+  const auto wide = exact_copy(padded);
+  const ShortWord at_end = lower_short_word(tail.get(), n, n);
+  const ShortWord loaded = lower_short_word(wide.get(), n, padded.size());
+  for (const ShortWord& w : {at_end, loaded}) {
+    EXPECT_EQ(w.lo, words[0]) << testing::PrintToString(std::string{token});
+    EXPECT_EQ(w.hi, words[1]) << testing::PrintToString(std::string{token});
+    EXPECT_EQ(short_key_hash(w.lo, w.hi, n), hash)
+        << testing::PrintToString(std::string{token});
+  }
+}
+
+TEST(LowerShortWord, MatchesStringHashOfLoweredTokenAtEveryLength) {
+  std::mt19937 rng{93u};
+  const std::string mixed_case =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  for (std::size_t len = 1; len <= kShortKeyBytes; ++len) {
+    for (int round = 0; round < 50; ++round) {
+      expect_short_word_matches(random_text(rng, mixed_case, len));
+      expect_short_word_matches(random_text(rng, all_bytes(), len));
+    }
+  }
+}
+
+TEST(LowerShortWord, EveryByteValueInEveryLane) {
+  for (std::size_t len = 1; len <= kShortKeyBytes; ++len) {
+    for (std::size_t lane = 0; lane < len; ++lane) {
+      for (int b = 0; b < 256; ++b) {
+        std::string token(len, 'Q');
+        token[lane] = static_cast<char>(b);
+        expect_short_word_matches(token);
+      }
+    }
+  }
+}
+
+TEST(LowerShortWord, TokensEndingOnTheLastByteOfTheirAllocation) {
+  // The Word Count map's own view: tokens cut from an exact-size buffer
+  // by for_each_word, with `readable` running to the buffer's end, so the
+  // last tokens take the bounded copy.
+  std::mt19937 rng{94u};
+  const std::string alphabet = "aZ9 \n" + std::string("bcdXYq");
+  for (std::size_t len = 1; len <= 80; ++len) {
+    const std::string text = random_text(rng, alphabet, len);
+    const auto buf = exact_copy(text);
+    const std::string_view view{buf.get(), len};
+    for_each_word(view, [&](std::string_view token) {
+      if (token.size() > kShortKeyBytes) return;
+      const std::size_t readable =
+          static_cast<std::size_t>(view.data() + view.size() - token.data());
+      const ShortWord w = lower_short_word(token.data(), token.size(),
+                                           readable);
+      EXPECT_EQ(short_key_hash(w.lo, w.hi, token.size()),
+                string_hash(lower_scalar(token)))
+          << "len=" << len;
+    });
   }
 }
 

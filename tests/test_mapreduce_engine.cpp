@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <random>
 #include <span>
 #include <string>
 
@@ -178,8 +181,8 @@ TEST(Engine, IdentityReduceWhenSpecHasNone) {
 // Emitter: emit-time hash combining and byte accounting.
 // ---------------------------------------------------------------------------
 
-// Combiners receive the emitter's *stored* key: a string_view into the
-// worker arena for std::string keys.
+// Combiners receive the emitter's KeyView of a stored key: a string_view
+// for std::string keys.
 std::uint64_t sum_combiner(const void*, const std::string_view&,
                            const std::uint64_t& acc,
                            const std::uint64_t& incoming) {
@@ -239,11 +242,13 @@ TEST(Emitter, BytesTrackStoredPairsNotRawEmits) {
   EXPECT_EQ(emitter.bytes(), after_first);
 
   // Byte meter equals the sum of per-pair footprints: the pair itself
-  // plus the arena bytes its key copy consumed.
+  // plus the arena bytes a long key's copy consumed (a key of up to 16
+  // bytes is stored inline and costs nothing more).
+  emitter.emit(std::string_view{"a-key-of-twenty-bytes"}, 1);
   std::uint64_t expected = 0;
   for (std::size_t b = 0; b < emitter.bucket_count(); ++b) {
     for (const auto& p : emitter.bucket(b)) {
-      expected += sizeof(p) + p.key.size();
+      expected += sizeof(p) + (p.key.is_inline() ? 0 : p.key.size());
     }
   }
   EXPECT_EQ(emitter.bytes(), expected);
@@ -312,19 +317,25 @@ TEST(Emitter, BatchedEmitMatchesPerTokenEmit) {
   for (int i = 0; i < 300; ++i) {
     corpus.push_back("tok-" + std::to_string(i % 37));
   }
-  std::vector<std::string_view> views{corpus.begin(), corpus.end()};
+  for (int i = 0; i < 40; ++i) {
+    corpus.push_back("a-token-longer-than-sixteen-bytes-" +
+                     std::to_string(i % 7));
+  }
+  std::vector<StringKey> keys;
+  for (const auto& word : corpus) keys.push_back(StringKey::of(word));
 
   Emitter<std::string, std::uint64_t> scalar{8};
   scalar.set_combiner(nullptr, sum_combiner);
-  for (const auto& v : views) scalar.emit(v, 1);
+  for (const auto& word : corpus) scalar.emit(std::string_view{word}, 1);
 
   Emitter<std::string, std::uint64_t> batched{8};
   batched.set_combiner(nullptr, sum_combiner);
   std::size_t i = 0;
-  while (i < views.size()) {
+  while (i < keys.size()) {
     const std::size_t n = std::min<std::size_t>(
-        Emitter<std::string, std::uint64_t>::kMaxBatch, views.size() - i);
-    batched.emit_batch(std::span<const std::string_view>{&views[i], n}, 1);
+        Emitter<std::string, std::uint64_t>::kMaxBatch, keys.size() - i);
+    batched.emit_batch(std::span<const StringKey>{&keys[i], n}, 1,
+                       WordCountSpec{});
     i += n;
   }
 
@@ -356,8 +367,8 @@ TEST(Emitter, AbsorbBucketFoldsAcrossEmitters) {
 
 TEST(Emitter, BudgetMetersArenaBytesNotStringCapacity) {
   // Arena accounting: the meter charges exactly the key bytes copied into
-  // the arena (plus the pair), never std::string header/capacity, and the
-  // arena's own usage must cover every charged key byte.
+  // the arena (plus the pair), never std::string header/capacity.  Only
+  // keys longer than 16 bytes go to the arena; "ab" is stored inline.
   Emitter<std::string, std::uint64_t> emitter{2};
   emitter.set_combiner(nullptr, sum_combiner);
   const std::string long_key(200, 'k');  // would round up under capacity()
@@ -366,7 +377,128 @@ TEST(Emitter, BudgetMetersArenaBytesNotStringCapacity) {
   emitter.emit(std::string_view{long_key}, 1);  // combine hit: no growth
 
   using P = Emitter<std::string, std::uint64_t>::Pair;
-  EXPECT_EQ(emitter.bytes(), 2 * sizeof(P) + long_key.size() + 2);
+  EXPECT_EQ(emitter.bytes(), 2 * sizeof(P) + long_key.size());
+}
+
+// ---------------------------------------------------------------------------
+// Inline short keys: boundaries of the 16-byte inline form.
+// ---------------------------------------------------------------------------
+
+TEST(Emitter, KeysAroundTheInlineLengthStayDistinct) {
+  // Lengths 15/16/17 straddle the inline limit; keys that agree in their
+  // first 16 bytes differ only in what the arena holds; "a" and "a\0"
+  // have the same zero-padded words and differ only in length.
+  const std::string k15(15, 'k');
+  const std::string k16(16, 'k');
+  const std::string k17(17, 'k');
+  const std::string prefix = "0123456789abcdef";
+  const std::vector<std::string> keys = {
+      k15, k16, k17, prefix + "x", prefix + "y", prefix + "xy",
+      std::string("a", 1), std::string("a\0", 2), std::string("a\0\0", 3),
+      std::string(), std::string("\0", 1), std::string(16, '\0')};
+  Emitter<std::string, std::uint64_t> emitter{4};
+  emitter.set_combiner(nullptr, sum_combiner);
+  std::map<std::string, std::uint64_t> expected;
+  for (int round = 1; round <= 3; ++round) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      emitter.emit(std::string_view{keys[i]}, i + 1);
+      expected[keys[i]] += i + 1;
+    }
+    emitter.emit(keys[round], 100);  // the owned-string emit() overload
+    expected[keys[round]] += 100;
+  }
+  EXPECT_EQ(emitter.stored(), keys.size());
+  EXPECT_EQ(emitter_contents(emitter), expected);
+
+  // Stored keys read back byte-exact, and inline exactly up to 16 bytes.
+  for (std::size_t b = 0; b < emitter.bucket_count(); ++b) {
+    for (const auto& p : emitter.bucket(b)) {
+      EXPECT_EQ(p.key.is_inline(), p.key.size() <= 16);
+      EXPECT_EQ(p.hash, string_hash(p.key.view()));
+    }
+  }
+}
+
+TEST(Emitter, AbsorbKeepsInlineAndLongKeysApart) {
+  // Cross-worker fold over keys on both sides of the inline limit; src's
+  // long keys stay in src's arena, which outlives the absorb.
+  const std::string prefix = "0123456789abcdef";
+  const std::vector<std::string> keys = {
+      "a", std::string("a\0", 2), prefix, prefix + "1", prefix + "2",
+      std::string(15, 'z'), std::string(17, 'z')};
+  Emitter<std::string, std::uint64_t> a{3};
+  Emitter<std::string, std::uint64_t> b{3};
+  a.set_combiner(nullptr, sum_combiner);
+  b.set_combiner(nullptr, sum_combiner);
+  std::map<std::string, std::uint64_t> expected;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i % 2 == 0) {
+      a.emit(std::string_view{keys[i]}, 1);
+      expected[keys[i]] += 1;
+    }
+    b.emit(std::string_view{keys[i]}, 10);
+    expected[keys[i]] += 10;
+  }
+  for (std::size_t bucket = 0; bucket < a.bucket_count(); ++bucket) {
+    a.absorb_bucket(bucket, b);
+  }
+  EXPECT_EQ(emitter_contents(a), expected);
+}
+
+TEST(Engine, WordCountMatchesSequentialOnInlineKeyBoundaries) {
+  // Mixed-case words of 1..40 letters (both sides of the 16-byte inline
+  // limit, words sharing their first 16 letters), non-word bytes between
+  // them, and chunk sizes that cut tokens off at a chunk's last byte.
+  std::mt19937 rng{2024u};
+  const std::string letters =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+  std::vector<std::string> vocab;
+  for (std::size_t len = 1; len <= 40; ++len) {
+    for (int v = 0; v < 3; ++v) {
+      std::string word;
+      for (std::size_t i = 0; i < len; ++i) {
+        word += letters[rng() % letters.size()];
+      }
+      vocab.push_back(word);
+    }
+  }
+  vocab.push_back("SharedPrefix0123xyz");
+  vocab.push_back("sharedprefix0123XY");
+  vocab.push_back("SHAREDPREFIX0123");
+  const std::string separators[] = {" ", "\n", ", ", "\x80", "-", "\t"};
+  std::string text;
+  while (text.size() < 96 * 1024) {
+    text += vocab[rng() % vocab.size()];
+    text += separators[rng() % std::size(separators)];
+  }
+  text += vocab.front();  // the input ends inside a token
+  const auto reference = apps::wordcount_sequential(text);
+  // The engine reads an exact-size copy, so ASan flags any load past the
+  // last token's last byte.
+  const auto exact = std::make_unique<char[]>(text.size());
+  std::memcpy(exact.get(), text.data(), text.size());
+  const std::string_view input{exact.get(), text.size()};
+
+  for (bool sorted : {false, true}) {
+    for (std::size_t workers : {1u, 2u, 4u}) {
+      for (std::size_t chunk : {13u, 4096u, 64u * 1024u}) {
+        Options opts;
+        opts.num_workers = workers;
+        opts.sort_output_by_key = sorted;
+        Engine<WordCountSpec> engine{opts};
+        auto out = engine.run(WordCountSpec{}, split_text(input, chunk));
+        if (sorted) {
+          EXPECT_EQ(out, reference)
+              << "workers=" << workers << " chunk=" << chunk;
+        } else {
+          std::sort(out.begin(), out.end(),
+                    [](const auto& x, const auto& y) { return x.key < y.key; });
+          EXPECT_EQ(out, reference)
+              << "workers=" << workers << " chunk=" << chunk;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -293,7 +293,10 @@ void run_mapreduce_suite(bench::TrajectoryEntry& entry,
 
     // Cycle-attribution pass on a separate instrumented engine (the timed
     // reps above run uninstrumented); its output doubles as the
-    // determinism probe across worker counts.
+    // determinism probe across worker counts.  On this pass Word Count
+    // stages its fused per-token loop in 64-key batches so hashing and
+    // probing get clocks of their own (see mr::EmitAttribution), so the
+    // tokenize/hash/probe fields sum to a little more than a plain map.
     mr::Options attr_opts = opts;
     attr_opts.attribute_map_cycles = true;
     mr::Engine<apps::WordCountSpec> attr_engine{attr_opts};
