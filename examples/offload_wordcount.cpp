@@ -56,10 +56,8 @@ std::shared_ptr<fam::Module> wordcount_module() {
         popts.partition_size = static_cast<std::uint64_t>(
             params.get_int_or("partition_size", 0));
         part::TextJob<apps::WordCountSpec> job;
-        job.merge = [](auto outputs) {
-          return part::sum_merge<std::string, std::uint64_t>(
-              std::move(outputs));
-        };
+        job.incremental_merge =
+            part::sum_incremental<std::string, std::uint64_t>();
         part::OutOfCoreMetrics metrics;
         auto counts = part::run_partitioned(engine, apps::WordCountSpec{},
                                             text.value(), popts, job,

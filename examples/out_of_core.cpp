@@ -66,9 +66,7 @@ int main(int argc, char** argv) {
   // --- 2. the adaptive driver falls back to partitioned mode ----------
   std::puts("\n2) run_adaptive (the McSD runtime path):");
   part::TextJob<apps::WordCountSpec> job;
-  job.merge = [](auto outputs) {
-    return part::sum_merge<std::string, std::uint64_t>(std::move(outputs));
-  };
+  job.incremental_merge = part::sum_incremental<std::string, std::uint64_t>();
   part::OutOfCoreMetrics metrics;
   auto counts = part::run_adaptive(engine, apps::WordCountSpec{}, text,
                                    /*footprint_factor=*/3.0, job,
@@ -110,22 +108,19 @@ int main(int argc, char** argv) {
   // regime the paper runs in; a page-cache-warm host read is ~100x faster
   // than the storage node's platter and would hide the overlap entirely.
   popts.read_throttle_mibps = 150.0;
-  part::TextJob<apps::WordCountSpec> file_job;
-  file_job.incremental_merge =
-      part::sum_incremental<std::string, std::uint64_t>();
 
   popts.prefetch = false;
   part::OutOfCoreMetrics serial;
   Stopwatch ab;
   auto serial_counts = part::run_partitioned_file(
-      engine, apps::WordCountSpec{}, corpus_path, popts, file_job, &serial);
+      engine, apps::WordCountSpec{}, corpus_path, popts, job, &serial);
   const double serial_s = ab.elapsed_seconds();
 
   popts.prefetch = true;
   part::OutOfCoreMetrics pipelined;
   ab.restart();
   auto pipelined_counts = part::run_partitioned_file(
-      engine, apps::WordCountSpec{}, corpus_path, popts, file_job,
+      engine, apps::WordCountSpec{}, corpus_path, popts, job,
       &pipelined);
   const double pipelined_s = ab.elapsed_seconds();
 

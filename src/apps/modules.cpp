@@ -134,12 +134,10 @@ std::shared_ptr<fam::Module> make_wordcount_module(
         const auto lease =
             warm->acquire(request_workers(params, default_workers));
         mr::Engine<WordCountSpec>& engine = *lease;
-        // Stream fragments off the file with prefetch + incremental merge
-        // (pipeline=false reverts to the serial read-then-run baseline).
+        // Stream fragments off the file with prefetch + incremental merge.
         part::PipelineOptions popts;
         popts.partition_size = static_cast<std::uint64_t>(
             params.get_int_or("partition_size", 0));
-        popts.prefetch = params.get_bool("pipeline").value_or(true);
         popts.read_throttle_mibps = request_read_throttle(params);
         popts.pool = pool;  // daemon-resident: warm across invocations
         part::TextJob<WordCountSpec> job;
@@ -216,7 +214,6 @@ std::shared_ptr<fam::Module> make_stringmatch_module(
         popts.partition_size = static_cast<std::uint64_t>(
             params.get_int_or("partition_size", 0));
         popts.is_delimiter = part::newline_delimiter();
-        popts.prefetch = params.get_bool("pipeline").value_or(true);
         popts.read_throttle_mibps = request_read_throttle(params);
         popts.pool = pool;  // daemon-resident: warm across invocations
         part::TextJob<StringMatchSpec> job;

@@ -50,15 +50,14 @@ struct Live {
   double share = 0.0;  ///< granted cores this step (fractional)
 };
 
-void allocate(std::vector<Live>& live, double cores, ShareMode mode) {
+void allocate(std::vector<Live>& live, double cores) {
   std::vector<ShareSlot> slots(live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
     slots[i].cap = live[i].max_threads == 0
                        ? std::numeric_limits<double>::infinity()
                        : static_cast<double>(live[i].max_threads);
-    slots[i].weight = live[i].serial_left + live[i].parallel_left;
   }
-  fill_shares(slots, cores, mode);
+  fill_shares(slots, cores, ShareMode::kEqualShare);
   for (std::size_t i = 0; i < live.size(); ++i) live[i].share = slots[i].share;
 }
 
@@ -68,8 +67,7 @@ double serial_rate(const Live& j) { return std::min(j.share, 1.0); }
 }  // namespace
 
 MalleableResult schedule_malleable(const std::vector<MalleableJob>& jobs,
-                                   const CpuModel& cpu,
-                                   const MalleableOptions& options) {
+                                   const CpuModel& cpu) {
   if (cpu.cores == 0 || cpu.core_speed <= 0.0) {
     throw std::invalid_argument("schedule_malleable: bad CpuModel");
   }
@@ -91,7 +89,7 @@ MalleableResult schedule_malleable(const std::vector<MalleableJob>& jobs,
 
   double now = 0.0;
   while (!live.empty()) {
-    allocate(live, static_cast<double>(cpu.cores), options.mode);
+    allocate(live, static_cast<double>(cpu.cores));
     // Time to each job's completion under the current allocation: serial
     // runs first at min(share, 1), then parallel at share*speed.
     double step = std::numeric_limits<double>::infinity();

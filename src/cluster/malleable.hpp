@@ -10,19 +10,16 @@
 // — a job holding a fraction of a core makes proportionally slow serial
 // progress, and a job holding none makes none.  Parallel work is
 // reference-core-seconds consumed at `granted_cores * core_speed`.
-// Core shares are reallocated at every completion, under one of two
-// modes:
+// Core shares are reallocated at every completion the way the OS's fair
+// scheduler splits them: equal shares among active jobs (capped at each
+// job's max_threads, surplus redistributed) — the classic malleable-task
+// fluid model.
 //
-//   * kEqualShare    — the OS's fair scheduler: equal shares among
-//                      active jobs (capped at each job's max_threads,
-//                      surplus redistributed) — the classic malleable-
-//                      task fluid model.
-//   * kProportional  — work-proportional partitioning in the style of
-//                      SET-ISCA2023's Cluster::try_alloc: each job's
-//                      share is weighted by its remaining work, so a
-//                      heavy job gets more cores and co-runners converge
-//                      toward a common finish — the allocation a
-//                      makespan-minimising runtime would pick.
+// `fill_shares`, the water-filling allocator underneath, also offers
+// kProportional — work-proportional partitioning in the style of
+// SET-ISCA2023's Cluster::try_alloc, where each claimant's share is
+// weighted by its remaining work; the cluster simulator's per-node CPU
+// uses it (ClusterSpec::share_mode).
 #pragma once
 
 #include <cstddef>
@@ -59,10 +56,6 @@ enum class ShareMode : std::uint8_t {
   return "?";
 }
 
-struct MalleableOptions {
-  ShareMode mode = ShareMode::kEqualShare;
-};
-
 /// One claimant in a share allocation round.
 struct ShareSlot {
   double cap = 0.0;     ///< max cores this claimant can use (inf ok)
@@ -78,9 +71,9 @@ struct ShareSlot {
 /// nonpositive cap or weight get share 0.
 void fill_shares(std::vector<ShareSlot>& slots, double cores, ShareMode mode);
 
-/// Simulates the fluid schedule.  `cpu` supplies core count and speed.
+/// Simulates the equal-share fluid schedule.  `cpu` supplies core count
+/// and speed.
 MalleableResult schedule_malleable(const std::vector<MalleableJob>& jobs,
-                                   const CpuModel& cpu,
-                                   const MalleableOptions& options = {});
+                                   const CpuModel& cpu);
 
 }  // namespace mcsd::sim

@@ -152,12 +152,6 @@ class Engine {
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
-  /// The engine's worker pool.  Drivers that do cross-fragment work
-  /// between runs (the out-of-core terminal k-way merge) borrow it so the
-  /// node's cores never sit behind a second, idle pool.  Only use between
-  /// run() calls — run() assumes every pool lane is its own.
-  [[nodiscard]] ThreadPool& pool() noexcept { return *pool_; }
-
   /// Drops the reusable per-worker state (emitters, key arenas, gather
   /// buffers).  The next run() rebuilds it from scratch — the per-run
   /// cost the reuse path exists to avoid; kept callable so drivers can

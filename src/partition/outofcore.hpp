@@ -4,9 +4,13 @@
 //
 // Stock Phoenix fails when a job's footprint exceeds ~60% of node memory;
 // this driver runs each memory-fitting fragment through the engine and
-// merges the per-fragment outputs with a user merge policy.  `run_adaptive`
-// implements the McSD runtime behaviour end to end: try native first, and
-// on MemoryOverflowError fall back to automatic partitioning.
+// folds each fragment's output into the running result as it retires,
+// with the job's merge (job.incremental_merge, see merger.hpp).  No
+// driver buffers fragment outputs for a merge at the end, so memory
+// tracks the merged result and there is no merge tail.
+// `run_adaptive` implements the McSD runtime behaviour end to end: try
+// native first, and on MemoryOverflowError fall back to automatic
+// partitioning.
 //
 // Two execution shapes:
 //  * `run_partitioned` — in-memory input (string_view), fragments are
@@ -14,13 +18,11 @@
 //  * `run_partitioned_file` — file-backed input streamed through
 //    StreamingFragmentSource: the engine maps views straight into pinned
 //    buffer-pool frames (only records crossing a frame boundary are
-//    copied, into a small stitch buffer), the pages of the next batch are
-//    read ahead into frames by the pool's I/O threads while this one
-//    runs, and per-batch outputs fold into the running merged result as
-//    each batch retires (job.incremental_merge), so there is neither a
-//    whole-input materialisation up front nor a single-threaded sort tail
-//    at the end.  A fragment spanning more frames than the pin window
-//    (a quarter of the pool) runs as several engine batches.
+//    copied, into a small stitch buffer), and the pages of the next batch
+//    are read ahead into frames by the pool's I/O threads while this one
+//    runs, so there is no whole-input materialisation up front.  A
+//    fragment spanning more frames than the pin window (a quarter of the
+//    pool) runs as several engine batches, each folded in turn.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +47,8 @@ struct OutOfCoreMetrics {
   std::size_t fragments = 0;
   double partition_seconds = 0.0;  ///< fragmenting (integrity checks)
   double mapreduce_seconds = 0.0;  ///< sum of per-fragment engine time
-  double merge_seconds = 0.0;      ///< cross-fragment merge (terminal or
-                                   ///< summed incremental folds)
+  double merge_seconds = 0.0;      ///< cross-fragment merge (summed
+                                   ///< incremental folds)
   // Per-phase attribution of mapreduce_seconds, summed over fragments
   // from the engine's own Metrics: where engine time actually goes
   // (map+combine vs gather/sort/reduce vs intra-fragment merge).  The
@@ -101,14 +103,12 @@ struct OutOfCoreMetrics {
   }
 };
 
-/// Splits text into map chunks for one fragment; callers choose the chunk
-/// granularity via the engine spec's natural splitter.  Defined here so
-/// both drivers share it.
+/// A partitioned job's two user hooks: how a fragment's text splits into
+/// map chunks (callers choose the granularity via the engine spec's
+/// natural splitter) and how fragment outputs merge.  Both drivers take
+/// it.
 template <mr::MapReduceSpec Spec>
 struct TextJob {
-  using Pair = mr::KV<typename Spec::Key, typename Spec::Value>;
-  using Merge = std::function<std::vector<Pair>(std::vector<std::vector<Pair>>)>;
-
   /// Chunker: record-aligned text -> map chunks (defaults to
   /// whitespace-aligned 256 KiB chunks).  run_partitioned applies it to
   /// each fragment, run_partitioned_file to each pinned span.  Chunk
@@ -118,54 +118,24 @@ struct TextJob {
   std::function<std::vector<mr::TextChunk>(std::string_view)> chunker =
       [](std::string_view text) { return mr::split_text(text, 256 * 1024); };
 
-  /// Terminal cross-fragment merge; defaults to concatenation.  Used when
-  /// `incremental_merge` is unset.
-  Merge merge = [](auto outputs) {
-    return concat_merge<typename Spec::Key, typename Spec::Value>(
-        std::move(outputs));
-  };
-
-  /// When set, each retiring fragment's output folds into the running
-  /// result immediately (`merge` is then never called): bounded memory
-  /// and no merge tail.  See sum_incremental() / concat_incremental().
+  /// Cross-fragment merge: folds each retiring fragment's output into
+  /// the running result.  Defaults to concatenation in fragment order;
+  /// see sum_incremental() / concat_incremental().
   IncrementalMerge<typename Spec::Key, typename Spec::Value>
-      incremental_merge;
-};
-
-/// Streaming knobs for run_partitioned_file.
-struct PipelineOptions {
-  /// The paper's [partition-size] in bytes; 0 = whole file, one fragment.
-  std::uint64_t partition_size = 0;
-
-  /// Record delimiter; defaults to whitespace (word records).
-  DelimiterPred is_delimiter = default_delimiters();
-
-  /// Keep ~1 fragment of pool read-ahead in flight while fragment N
-  /// computes.  Disable for a serial A/B baseline.
-  bool prefetch = true;
-
-  /// Emulated sequential-read rate in MiB/s applied to page *loads*;
-  /// 0 = the raw device (see StreamOptions::read_throttle_mibps).
-  double read_throttle_mibps = 0.0;
-
-  /// Buffer pool serving the fragment pages; null uses the process-wide
-  /// pool.  The FAM daemon threads its long-lived pool through here.
-  std::shared_ptr<storage::BufferManager> pool;
+      incremental_merge =
+          concat_incremental<typename Spec::Key, typename Spec::Value>();
 };
 
 namespace detail {
 
-/// Runs one fragment (or one batch of it) through the engine and retires
-/// its output into either the incremental running result or the
-/// accumulator.  Shared by the in-memory and streaming drivers; `chunks`
-/// carry file offsets.
+/// Runs one fragment (or one batch of it) through the engine and folds
+/// its output into the running result.  Shared by the in-memory and
+/// streaming drivers; `chunks` carry file offsets.
 template <mr::MapReduceSpec Spec>
 void run_fragment(
     mr::Engine<Spec>& engine, const Spec& spec, const TextJob<Spec>& job,
     const std::vector<mr::TextChunk>& chunks, std::uint64_t input_bytes,
     std::vector<mr::KV<typename Spec::Key, typename Spec::Value>>& running,
-    std::vector<std::vector<mr::KV<typename Spec::Key, typename Spec::Value>>>&
-        accumulated,
     OutOfCoreMetrics& m) {
   Stopwatch watch;
   // Fixed span name: per-fragment names ("part.fragment-<N>") would give
@@ -187,14 +157,10 @@ void run_fragment(
   m.engine_reduce_seconds += frag_metrics.reduce_seconds;
   m.engine_merge_seconds += frag_metrics.merge_seconds;
 
-  if (job.incremental_merge) {
-    watch.restart();
-    MCSD_OBS_SPAN("part", "part.merge.incremental");
-    job.incremental_merge(running, std::move(output));
-    m.merge_seconds += watch.elapsed_seconds();
-  } else {
-    accumulated.push_back(std::move(output));
-  }
+  watch.restart();
+  MCSD_OBS_SPAN("part", "part.merge.incremental");
+  job.incremental_merge(running, std::move(output));
+  m.merge_seconds += watch.elapsed_seconds();
 }
 
 /// Appends `text`'s map chunks to `chunks`, rebased to file offset
@@ -206,22 +172,6 @@ void append_chunks(const TextJob<Spec>& job, std::string_view text,
     chunk.offset += static_cast<std::size_t>(offset);
     chunks.push_back(chunk);
   }
-}
-
-/// Terminal merge for the accumulate path (no-op under incremental merge).
-template <mr::MapReduceSpec Spec>
-std::vector<mr::KV<typename Spec::Key, typename Spec::Value>> finish_merge(
-    const TextJob<Spec>& job,
-    std::vector<mr::KV<typename Spec::Key, typename Spec::Value>> running,
-    std::vector<std::vector<mr::KV<typename Spec::Key, typename Spec::Value>>>
-        accumulated,
-    OutOfCoreMetrics& m) {
-  if (job.incremental_merge) return running;
-  Stopwatch watch;
-  MCSD_OBS_SPAN("part", "part.merge");
-  auto merged = job.merge(std::move(accumulated));
-  m.merge_seconds += watch.elapsed_seconds();
-  return merged;
 }
 
 }  // namespace detail
@@ -251,23 +201,20 @@ std::vector<mr::KV<typename Spec::Key, typename Spec::Value>> run_partitioned(
   MCSD_OBS_COUNT("part.fragments", fragments.size());
 
   std::vector<Pair> running;
-  std::vector<std::vector<Pair>> accumulated;
-  if (!job.incremental_merge) accumulated.reserve(fragments.size());
   std::vector<mr::TextChunk> chunks;
   for (const Fragment& fragment : fragments) {
     chunks.clear();
     detail::append_chunks(job, fragment.text, fragment.offset, chunks);
     detail::run_fragment(engine, spec, job, chunks, fragment.text.size(),
-                         running, accumulated, m);
+                         running, m);
   }
-  return detail::finish_merge(job, std::move(running), std::move(accumulated),
-                              m);
+  return running;
 }
 
 /// Pipelined out-of-core run over a file: the engine maps pinned pool
 /// frames in place, batch by batch, with read-ahead (see
-/// StreamingFragmentSource), and each batch retires through the job's
-/// incremental merge.  The engine's memory budget applies per batch.
+/// StreamingFragmentSource), and each batch folds into the running result
+/// through the job's merge.  The engine's memory budget applies per batch.
 /// Returns kNotFound / kIoError for file problems; MemoryOverflowError
 /// still propagates as an exception, exactly like run_partitioned, and
 /// unwinding releases every pin.
@@ -284,17 +231,10 @@ run_partitioned_file(mr::Engine<Spec>& engine, const Spec& spec,
   m.pipelined = options.prefetch;
 
   MCSD_OBS_SPAN("part", "part.run");
-  StreamOptions stream;
-  stream.fragment_bytes = options.partition_size;
-  stream.is_delimiter = options.is_delimiter;
-  stream.prefetch = options.prefetch;
-  stream.read_throttle_mibps = options.read_throttle_mibps;
-  stream.pool = options.pool;
-  auto source = StreamingFragmentSource::open(path, std::move(stream));
+  auto source = StreamingFragmentSource::open(path, options);
   if (!source.is_ok()) return source.error();
 
   std::vector<Pair> running;
-  std::vector<std::vector<Pair>> accumulated;
   FragmentBatch batch;
   std::vector<mr::TextChunk> chunks;
   Stopwatch wait;
@@ -314,8 +254,7 @@ run_partitioned_file(mr::Engine<Spec>& engine, const Spec& spec,
       }
     }
     MCSD_OBS_COUNT("part.engine_batches", 1);
-    detail::run_fragment(engine, spec, job, chunks, batch.bytes, running,
-                         accumulated, m);
+    detail::run_fragment(engine, spec, job, chunks, batch.bytes, running, m);
   }
   m.fragments = source.value().fragments_produced();
   m.engine_batches = source.value().batches_produced();
@@ -327,8 +266,7 @@ run_partitioned_file(mr::Engine<Spec>& engine, const Spec& spec,
   m.storage_misses = pool_stats.misses;
   m.storage_evictions = pool_stats.evictions;
   MCSD_OBS_COUNT("part.fragments", m.fragments);
-  return detail::finish_merge(job, std::move(running), std::move(accumulated),
-                              m);
+  return running;
 }
 
 /// The McSD runtime path: attempt a native (single-fragment) run; if the

@@ -30,7 +30,7 @@ enum class Walk : std::uint8_t {
 // this state — so no locking here at all.
 struct StreamingFragmentSource::State {
   storage::PooledFileSource source;
-  StreamOptions options;
+  PipelineOptions options;
   std::string path;  ///< as given: fault filtering and error messages
   storage::PoolStats base;  ///< pool stats at open(), for deltas
   std::uint64_t file_size = 0;
@@ -68,7 +68,7 @@ struct StreamingFragmentSource::State {
   std::uint64_t bytes_streamed = 0;
   std::uint64_t peak_resident_bytes = 0;
 
-  State(storage::PooledFileSource s, StreamOptions o, std::string p,
+  State(storage::PooledFileSource s, PipelineOptions o, std::string p,
         std::size_t window)
       : source(std::move(s)), options(std::move(o)), path(std::move(p)),
         base(source.pool()->stats()), file_size(source.file()->size()),
@@ -80,7 +80,7 @@ struct StreamingFragmentSource::State {
     in_fragment = true;
     fragment_offset = cursor;
     const std::uint64_t remaining = file_size - cursor;
-    const std::uint64_t target = options.fragment_bytes;
+    const std::uint64_t target = options.partition_size;
     draft = cursor + (target == 0 ? remaining : std::min(target, remaining));
     if (draft >= file_size) {
       // The remainder is at most one fragment: it becomes the tail
@@ -251,7 +251,7 @@ StreamingFragmentSource& StreamingFragmentSource::operator=(
 StreamingFragmentSource::~StreamingFragmentSource() = default;
 
 Result<StreamingFragmentSource> StreamingFragmentSource::open(
-    const std::filesystem::path& path, StreamOptions options) {
+    const std::filesystem::path& path, PipelineOptions options) {
   std::shared_ptr<storage::BufferManager> pool =
       options.pool ? options.pool : storage::process_pool();
 
@@ -268,9 +268,9 @@ Result<StreamingFragmentSource> StreamingFragmentSource::open(
     // double-buffering prefetch thread.
     const std::size_t frame = pool->frame_bytes();
     const std::uint64_t target =
-        options.fragment_bytes == 0
+        options.partition_size == 0
             ? 2 * frame  // whole-file fragment: modest pipelining
-            : options.fragment_bytes;
+            : options.partition_size;
     source_options.readahead_pages = std::max<std::size_t>(
         1, static_cast<std::size_t>((target + frame - 1) / frame));
   }

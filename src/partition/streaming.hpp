@@ -76,12 +76,16 @@ struct FragmentBatch {
   std::uint64_t bytes = 0;          ///< bytes the spans cover
 };
 
-struct StreamOptions {
-  /// Draft fragment size ([partition-size]); 0 = whole file, one fragment.
-  std::uint64_t fragment_bytes = 0;
+/// Streaming knobs, shared by StreamingFragmentSource::open and
+/// run_partitioned_file.
+struct PipelineOptions {
+  /// The paper's [partition-size] in bytes (the draft fragment size);
+  /// 0 = whole file, one fragment.
+  std::uint64_t partition_size = 0;
 
-  /// Record delimiter; must match the job's records (newline for
-  /// line-oriented jobs) so no record is ever cut across fragments.
+  /// Record delimiter; defaults to whitespace (word records).  Must match
+  /// the job's records (newline for line-oriented jobs) so no record is
+  /// ever cut across fragments.
   DelimiterPred is_delimiter = default_delimiters();
 
   /// True: keep ~1 fragment of pages queued as pool read-ahead so reads
@@ -114,7 +118,7 @@ class StreamingFragmentSource {
   static constexpr int kReadAttempts = 4;
 
   static Result<StreamingFragmentSource> open(
-      const std::filesystem::path& path, StreamOptions options);
+      const std::filesystem::path& path, PipelineOptions options);
 
   StreamingFragmentSource(StreamingFragmentSource&&) noexcept;
   StreamingFragmentSource& operator=(StreamingFragmentSource&&) noexcept;

@@ -109,9 +109,7 @@ Result<WordCountResult> McsdRuntime::word_count(std::string_view text) {
     part::PartitionOptions popts;
     popts.partition_size = options_.host_partition_size;
     part::TextJob<apps::WordCountSpec> job;
-    job.merge = [](auto outputs) {
-      return part::sum_merge<std::string, std::uint64_t>(std::move(outputs));
-    };
+    job.incremental_merge = part::sum_incremental<std::string, std::uint64_t>();
     result.counts = part::run_partitioned(engine, apps::WordCountSpec{},
                                           text, popts, job);
   } else {
@@ -161,23 +159,21 @@ Result<WordCountResult> McsdRuntime::word_count(std::string_view text) {
     }
     for (auto& t : threads) t.join();
 
-    std::vector<std::vector<apps::WordCount>> tables;
-    tables.reserve(partials.size());
+    // Fold each node's table into the result in node order.
     for (std::size_t i = 0; i < partials.size(); ++i) {
       if (!partials[i]) {
         if (!options_.fallback_to_host) return partials[i].error();
         // Fault tolerance: recompute the failed shard locally.
         const auto [begin, end] = shards[i];
-        tables.push_back(apps::wordcount_sequential(
-            text.substr(begin, end - begin)));
+        part::sum_merge_into(
+            result.counts,
+            apps::wordcount_sequential(text.substr(begin, end - begin)));
         ++result.report.shards_recovered;
         MCSD_OBS_COUNT("rt.shards_recovered", 1);
         continue;
       }
-      tables.push_back(std::move(partials[i]).value());
+      part::sum_merge_into(result.counts, std::move(partials[i]).value());
     }
-    result.counts =
-        part::sum_merge<std::string, std::uint64_t>(std::move(tables));
   }
   apps::sort_by_frequency_desc(result.counts);
   result.report.elapsed_seconds = watch.elapsed_seconds();

@@ -169,8 +169,8 @@ Result<part::StreamingFragmentSource> open_tiny_frame_stream(
   storage::PoolOptions pool_options;
   pool_options.frame_bytes = 256;
   pool_options.pool_bytes = 64 * 256;
-  part::StreamOptions options;
-  options.fragment_bytes = 1024;
+  part::PipelineOptions options;
+  options.partition_size = 1024;
   options.prefetch = false;
   options.pool = std::make_shared<storage::BufferManager>(pool_options);
   return part::StreamingFragmentSource::open(path, std::move(options));

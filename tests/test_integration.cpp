@@ -51,10 +51,8 @@ std::shared_ptr<fam::Module> make_wordcount_module(std::size_t workers) {
         part::PartitionOptions popts;
         popts.partition_size = partition_size;
         part::TextJob<apps::WordCountSpec> job;
-        job.merge = [](auto outputs) {
-          return part::sum_merge<std::string, std::uint64_t>(
-              std::move(outputs));
-        };
+        job.incremental_merge =
+            part::sum_incremental<std::string, std::uint64_t>();
         part::OutOfCoreMetrics metrics;
         auto counts = part::run_partitioned(engine, apps::WordCountSpec{},
                                             text.value(), popts, job,

@@ -137,10 +137,8 @@ TEST(ObsIntegration, TracedOffloadRunExportsAllThreeLayers) {
                 part::PartitionOptions popts;
                 popts.partition_size = 64 * 1024;
                 part::TextJob<apps::WordCountSpec> job;
-                job.merge = [](auto outputs) {
-                  return part::sum_merge<std::string, std::uint64_t>(
-                      std::move(outputs));
-                };
+                job.incremental_merge =
+                    part::sum_incremental<std::string, std::uint64_t>();
                 auto counts = part::run_partitioned(
                     engine, apps::WordCountSpec{}, text.value(), popts, job);
                 KeyValueMap out;

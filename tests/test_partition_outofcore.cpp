@@ -10,7 +10,6 @@
 #include "apps/stringmatch.hpp"
 #include "apps/wordcount.hpp"
 #include "core/random.hpp"
-#include "core/thread_pool.hpp"
 #include "core/units.hpp"
 
 namespace mcsd::part {
@@ -29,9 +28,7 @@ std::map<std::string, std::uint64_t> to_map(
 
 TextJob<WordCountSpec> wordcount_job() {
   TextJob<WordCountSpec> job;
-  job.merge = [](auto outputs) {
-    return sum_merge<std::string, std::uint64_t>(std::move(outputs));
-  };
+  job.incremental_merge = sum_incremental<std::string, std::uint64_t>();
   return job;
 }
 
@@ -133,6 +130,16 @@ TEST(RunAdaptive, FallsBackToPartitioningOnOverflow) {
   EXPECT_EQ(to_map(result), to_map(apps::wordcount_sequential(text)));
 }
 
+/// Folds `outputs` fragment by fragment through `merge`.
+template <typename K, typename V>
+std::vector<mr::KV<K, V>> fold_all(
+    std::vector<std::vector<mr::KV<K, V>>> outputs,
+    const IncrementalMerge<K, V>& merge) {
+  std::vector<mr::KV<K, V>> running;
+  for (auto& fresh : outputs) merge(running, std::move(fresh));
+  return running;
+}
+
 TEST(Mergers, SumMergeAddsAcrossFragments) {
   using Pair = mr::KV<std::string, std::uint64_t>;
   std::vector<std::vector<Pair>> outputs{
@@ -140,7 +147,8 @@ TEST(Mergers, SumMergeAddsAcrossFragments) {
       {{"b", 3}, {"c", 4}},
       {{"a", 5}},
   };
-  const auto merged = sum_merge<std::string, std::uint64_t>(std::move(outputs));
+  const auto merged = fold_all(std::move(outputs),
+                               sum_incremental<std::string, std::uint64_t>());
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].key, "a");
   EXPECT_EQ(merged[0].value, 6u);
@@ -153,88 +161,23 @@ TEST(Mergers, SumMergeAddsAcrossFragments) {
 TEST(Mergers, ConcatMergePreservesFragmentOrder) {
   using Pair = mr::KV<std::uint64_t, std::uint32_t>;
   std::vector<std::vector<Pair>> outputs{{{10, 0}}, {{5, 1}}, {{7, 2}}};
-  const auto merged =
-      concat_merge<std::uint64_t, std::uint32_t>(std::move(outputs));
+  const auto merged = fold_all(
+      std::move(outputs), concat_incremental<std::uint64_t, std::uint32_t>());
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].key, 10u);
   EXPECT_EQ(merged[1].key, 5u);
   EXPECT_EQ(merged[2].key, 7u);
 }
 
-TEST(Mergers, FoldMergeWithCustomFold) {
-  using Pair = mr::KV<std::string, std::uint64_t>;
-  std::vector<std::vector<Pair>> outputs{
-      {{"x", 10}, {"y", 1}},
-      {{"x", 20}},
-  };
-  const auto merged = fold_merge<std::string, std::uint64_t>(
-      std::move(outputs),
-      [](const std::string&, std::span<const std::uint64_t> vs) {
-        std::uint64_t best = 0;
-        for (auto v : vs) best = std::max(best, v);
-        return best;
-      });
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].key, "x");
-  EXPECT_EQ(merged[0].value, 20u);  // max, not sum
-}
-
 TEST(Mergers, EmptyInputs) {
-  EXPECT_TRUE((sum_merge<std::string, std::uint64_t>({})).empty());
-  EXPECT_TRUE((concat_merge<std::string, std::uint64_t>({})).empty());
-}
-
-// The engine emits per-fragment outputs already key-sorted when
-// sort_output_by_key is on; sum_merge must detect that and k-way merge
-// instead of re-sorting, with identical results either way.
-TEST(Mergers, SortedRunsMergeSameAsUnsortedRuns) {
   using Pair = mr::KV<std::string, std::uint64_t>;
-  Rng rng{99};
-  std::vector<std::vector<Pair>> sorted_runs;
-  std::vector<std::vector<Pair>> shuffled_runs;
-  for (int run = 0; run < 7; ++run) {  // odd count: pairwise-round leftover
-    std::vector<Pair> pairs;
-    const std::size_t n = rng.next_below(40);  // includes empty runs
-    for (std::size_t i = 0; i < n; ++i) {
-      pairs.push_back({"k" + std::to_string(rng.next_below(25)),
-                       rng.next_below(100)});
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const Pair& a, const Pair& b) { return a.key < b.key; });
-    sorted_runs.push_back(pairs);
-    std::reverse(pairs.begin(), pairs.end());
-    shuffled_runs.push_back(std::move(pairs));
-  }
-  const auto a = sum_merge<std::string, std::uint64_t>(sorted_runs);
-  const auto b = sum_merge<std::string, std::uint64_t>(shuffled_runs);
-  EXPECT_EQ(to_map(a), to_map(b));
-  EXPECT_TRUE(std::is_sorted(
-      a.begin(), a.end(),
-      [](const Pair& x, const Pair& y) { return x.key < y.key; }));
-  // Keys must be unique after summing.
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    EXPECT_NE(a[i - 1].key, a[i].key);
-  }
-}
-
-TEST(Mergers, ParallelPoolMatchesSerialMerge) {
-  using Pair = mr::KV<std::string, std::uint64_t>;
-  Rng rng{7};
-  std::vector<std::vector<Pair>> runs;
-  for (int run = 0; run < 9; ++run) {
-    std::vector<Pair> pairs;
-    for (std::size_t i = 0; i < 200; ++i) {
-      pairs.push_back({"w" + std::to_string(rng.next_below(300)),
-                       1 + rng.next_below(5)});
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const Pair& a, const Pair& b) { return a.key < b.key; });
-    runs.push_back(std::move(pairs));
-  }
-  ThreadPool pool{4};
-  const auto serial = sum_merge<std::string, std::uint64_t>(runs);
-  const auto parallel = sum_merge<std::string, std::uint64_t>(runs, &pool);
-  EXPECT_EQ(serial, parallel);
+  const auto sum = sum_incremental<std::string, std::uint64_t>();
+  const auto concat = concat_incremental<std::string, std::uint64_t>();
+  EXPECT_TRUE((fold_all<std::string, std::uint64_t>({}, sum).empty()));
+  EXPECT_TRUE((fold_all<std::string, std::uint64_t>({}, concat).empty()));
+  const std::vector<std::vector<Pair>> empties{{}, {}, {}};
+  EXPECT_TRUE(fold_all(empties, sum).empty());
+  EXPECT_TRUE(fold_all(empties, concat).empty());
 }
 
 TEST(Mergers, SumMergeIntoFoldsFragmentByFragment) {
@@ -254,6 +197,35 @@ TEST(Mergers, SumMergeIntoFoldsFragmentByFragment) {
   }
   const std::vector<Pair> expected{{"a", 6}, {"b", 5}, {"c", 4}};
   EXPECT_EQ(running, expected);
+
+  // Engine output arrives key-sorted when sort_output_by_key is on, and
+  // in any order otherwise: the fold gives the same key-sorted,
+  // key-unique result either way, over an odd number of runs with empty
+  // ones among them.
+  Rng rng{99};
+  std::vector<Pair> sorted_running;
+  std::vector<Pair> reversed_running;
+  std::map<std::string, std::uint64_t> sums;
+  for (int run = 0; run < 9; ++run) {
+    std::vector<Pair> pairs;
+    const std::size_t n = run % 4 == 3 ? 0 : rng.next_below(200);
+    for (std::size_t i = 0; i < n; ++i) {
+      pairs.push_back({"k" + std::to_string(rng.next_below(300)),
+                       1 + rng.next_below(100)});
+      sums[pairs.back().key] += pairs.back().value;
+    }
+    std::sort(pairs.begin(), pairs.end(),
+              [](const Pair& a, const Pair& b) { return a.key < b.key; });
+    std::vector<Pair> reversed(pairs.rbegin(), pairs.rend());
+    sum_merge_into(sorted_running, std::move(pairs));
+    sum_merge_into(reversed_running, std::move(reversed));
+  }
+  EXPECT_EQ(sorted_running, reversed_running);
+  EXPECT_EQ(to_map(sorted_running), sums);
+  EXPECT_EQ(sorted_running.size(), sums.size());  // keys unique
+  EXPECT_TRUE(std::is_sorted(
+      sorted_running.begin(), sorted_running.end(),
+      [](const Pair& x, const Pair& y) { return x.key < y.key; }));
 }
 
 TEST(Mergers, FirstBatchIsMovedNotCopied) {
@@ -286,35 +258,23 @@ TEST(Mergers, IncrementalHelpersMatchTerminalMergers) {
   const std::vector<std::vector<Pair>> outputs{
       {{"x", 1}, {"y", 2}}, {{"x", 3}}, {{"z", 9}, {"y", 1}}};
 
-  auto sum_inc = sum_incremental<std::string, std::uint64_t>();
-  std::vector<Pair> running;
-  for (auto copy : outputs) sum_inc(running, std::move(copy));
-  EXPECT_EQ(to_map(running),
-            to_map(sum_merge<std::string, std::uint64_t>(outputs)));
+  // References merge every output at once: a map sum and a plain
+  // concatenation.
+  std::map<std::string, std::uint64_t> summed;
+  std::vector<Pair> concatenated;
+  for (const auto& output : outputs) {
+    for (const Pair& kv : output) {
+      summed[kv.key] += kv.value;
+      concatenated.push_back(kv);
+    }
+  }
+  std::vector<Pair> summed_pairs;
+  for (const auto& [key, value] : summed) summed_pairs.push_back({key, value});
 
-  auto concat_inc = concat_incremental<std::string, std::uint64_t>();
-  std::vector<Pair> appended;
-  for (auto copy : outputs) concat_inc(appended, std::move(copy));
-  EXPECT_EQ(appended, (concat_merge<std::string, std::uint64_t>(outputs)));
-}
-
-TEST(Mergers, FoldMergeSortedRunsKeepsCustomFold) {
-  using Pair = mr::KV<std::string, std::uint64_t>;
-  std::vector<std::vector<Pair>> outputs{
-      {{"x", 10}, {"y", 1}},  // already key-sorted: k-way path
-      {{"x", 20}, {"z", 7}},
-  };
-  ThreadPool pool{2};
-  const auto merged = fold_merge<std::string, std::uint64_t>(
-      std::move(outputs),
-      [](const std::string&, std::span<const std::uint64_t> vs) {
-        std::uint64_t best = 0;
-        for (auto v : vs) best = std::max(best, v);
-        return best;
-      },
-      &pool);
-  const std::vector<Pair> expected{{"x", 20}, {"y", 1}, {"z", 7}};
-  EXPECT_EQ(merged, expected);
+  EXPECT_EQ(fold_all(outputs, sum_incremental<std::string, std::uint64_t>()),
+            summed_pairs);
+  EXPECT_EQ(fold_all(outputs, concat_incremental<std::string, std::uint64_t>()),
+            concatenated);
 }
 
 // Partition-size sweep: result invariant for any fragment size.

@@ -65,7 +65,7 @@ struct StreamResult {
 /// Streams `path` fully, checking that spans tile each fragment in file
 /// order and that batches of one fragment arrive back to back.
 StreamResult stream_all(const std::filesystem::path& path,
-                        StreamOptions options) {
+                        PipelineOptions options) {
   auto source = StreamingFragmentSource::open(path, std::move(options));
   EXPECT_TRUE(source.is_ok());
   StreamResult result;
@@ -112,10 +112,10 @@ bool is_space(char c) { return c == ' ' || c == '\n'; }
 
 /// Options for the ported edge cases: `frame_bytes`-byte frames, a pool
 /// of `frames` of them, space/newline records.
-StreamOptions tiny_frames(std::uint64_t target, std::size_t frame_bytes,
+PipelineOptions tiny_frames(std::uint64_t target, std::size_t frame_bytes,
                           std::size_t frames = 8) {
-  StreamOptions options;
-  options.fragment_bytes = target;
+  PipelineOptions options;
+  options.partition_size = target;
   options.is_delimiter = is_space;
   options.pool = frame_pool(frame_bytes, frames);
   return options;
@@ -130,7 +130,7 @@ TEST(StreamingFragmentSource, MissingFileIsNotFound) {
 
 TEST(StreamingFragmentSource, MissingFileWithFramePoolIsNotFound) {
   TempDir dir{"pipeline"};
-  StreamOptions options = tiny_frames(8, 16);
+  PipelineOptions options = tiny_frames(8, 16);
   const auto pool = options.pool;
   const auto source = StreamingFragmentSource::open(dir / "nope", options);
   ASSERT_FALSE(source.is_ok());
@@ -142,8 +142,8 @@ TEST(StreamingFragmentSource, EmptyFileYieldsNoFragments) {
   TempDir dir{"pipeline"};
   ASSERT_TRUE(write_file(dir / "empty", "").is_ok());
   for (const bool prefetch : {false, true}) {
-    StreamOptions options;
-    options.fragment_bytes = 1024;
+    PipelineOptions options;
+    options.partition_size = 1024;
     options.prefetch = prefetch;
     EXPECT_TRUE(stream_all(dir / "empty", options).fragments.empty());
   }
@@ -153,7 +153,7 @@ TEST(StreamingFragmentSource, EmptyFileOverSixteenByteFramesYieldsNoFragments) {
   TempDir dir{"pipeline"};
   ASSERT_TRUE(write_file(dir / "empty", "").is_ok());
   for (const bool prefetch : {false, true}) {
-    StreamOptions options = tiny_frames(8, 16);
+    PipelineOptions options = tiny_frames(8, 16);
     options.prefetch = prefetch;
     const auto pool = options.pool;
     EXPECT_TRUE(stream_all(dir / "empty", options).fragments.empty());
@@ -272,8 +272,8 @@ TEST_P(PipelineSeedSweep, StreamedFragmentsEqualPartitioned) {
   for (const bool prefetch : {false, true}) {
     SCOPED_TRACE(testing::Message() << "prefetch=" << prefetch << " frame="
                                     << frame_bytes << " frames=" << frames);
-    StreamOptions options;
-    options.fragment_bytes = popts.partition_size;
+    PipelineOptions options;
+    options.partition_size = popts.partition_size;
     options.prefetch = prefetch;
     options.pool = frame_pool(frame_bytes, frames);
     const auto streamed = stream_all(path, options);
@@ -305,27 +305,23 @@ TEST_P(PipelineSeedSweep, PipelinedOutputEqualsSerialOutput) {
   opts.num_workers = 2;
   mr::Engine<WordCountSpec> engine{opts};
 
-  // Serial reference: the in-memory chain with a terminal merge.
+  TextJob<WordCountSpec> job;
+  job.incremental_merge = sum_incremental<std::string, std::uint64_t>();
+
+  // Serial reference: the in-memory chain.
   PartitionOptions popts;
   popts.partition_size = 1024 + rng.next_below(16 * 1024);
-  TextJob<WordCountSpec> serial_job;
-  serial_job.merge = [](auto outputs) {
-    return sum_merge<std::string, std::uint64_t>(std::move(outputs));
-  };
   const auto serial =
-      run_partitioned(engine, WordCountSpec{}, text, popts, serial_job);
+      run_partitioned(engine, WordCountSpec{}, text, popts, job);
 
-  // Pipelined: pinned spans, pool read-ahead, incremental merge.
+  // Pipelined: pinned spans, pool read-ahead.
   PipelineOptions stream;
   stream.partition_size = popts.partition_size;
   stream.prefetch = true;
   stream.pool = frame_pool(512 + rng.next_below(4 * 1024), 64);
-  TextJob<WordCountSpec> pipelined_job;
-  pipelined_job.incremental_merge =
-      sum_incremental<std::string, std::uint64_t>();
   OutOfCoreMetrics metrics;
   const auto pipelined = run_partitioned_file(
-      engine, WordCountSpec{}, path, stream, pipelined_job, &metrics);
+      engine, WordCountSpec{}, path, stream, job, &metrics);
   ASSERT_TRUE(pipelined.is_ok());
 
   EXPECT_EQ(to_map(pipelined.value()), to_map(serial));
@@ -641,8 +637,8 @@ TEST(RunPartitionedFile, NoPinOutlivesRunOverflowOrTeardown) {
   EXPECT_EQ(pool->stats().pinned_frames, 0u);
 
   {
-    StreamOptions options;
-    options.fragment_bytes = stream.partition_size;
+    PipelineOptions options;
+    options.partition_size = stream.partition_size;
     options.pool = pool;
     auto source = StreamingFragmentSource::open(path, options);
     ASSERT_TRUE(source.is_ok());
@@ -719,8 +715,8 @@ TEST(StreamingFragmentSource, ConcurrentStreamsShareASmallPool) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kStreams; ++t) {
     threads.emplace_back([&] {
-      StreamOptions options;
-      options.fragment_bytes = 2048;
+      PipelineOptions options;
+      options.partition_size = 2048;
       options.pool = pool;
       auto source = StreamingFragmentSource::open(path, options);
       if (!source.is_ok()) return;
@@ -740,8 +736,9 @@ TEST(StreamingFragmentSource, ConcurrentStreamsShareASmallPool) {
   EXPECT_EQ(pool->stats().pinned_frames, 0u);
 }
 
-// Incremental merge inside the in-memory driver: same result as the
-// terminal merge, fragment by fragment.
+// Incremental merge inside the in-memory driver, fragment by fragment:
+// the same counts as one whole-input pass (the terminal result), held
+// key-sorted and key-unique.
 TEST(RunPartitioned, IncrementalMergeMatchesTerminalMerge) {
   apps::CorpusOptions corpus;
   corpus.bytes = 128 * 1024;
@@ -752,23 +749,16 @@ TEST(RunPartitioned, IncrementalMergeMatchesTerminalMerge) {
   PartitionOptions popts;
   popts.partition_size = 16 * 1024;
 
-  TextJob<WordCountSpec> terminal;
-  terminal.merge = [](auto outputs) {
-    return sum_merge<std::string, std::uint64_t>(std::move(outputs));
-  };
   TextJob<WordCountSpec> incremental;
   incremental.incremental_merge =
       sum_incremental<std::string, std::uint64_t>();
-
-  const auto a =
-      run_partitioned(engine, WordCountSpec{}, text, popts, terminal);
-  const auto b =
+  const auto merged =
       run_partitioned(engine, WordCountSpec{}, text, popts, incremental);
-  // The incremental path additionally guarantees key order.
-  EXPECT_TRUE(std::is_sorted(
-      b.begin(), b.end(),
-      [](const auto& x, const auto& y) { return x.key < y.key; }));
-  EXPECT_EQ(to_map(a), to_map(b));
+  std::vector<mr::KV<std::string, std::uint64_t>> whole;
+  for (const auto& [word, count] : to_map(apps::wordcount_sequential(text))) {
+    whole.push_back({word, count});
+  }
+  EXPECT_EQ(merged, whole);
 }
 
 TEST(StreamingFragmentSource, EarlyDestructionReleasesQueuedReads) {
@@ -780,8 +770,8 @@ TEST(StreamingFragmentSource, EarlyDestructionReleasesQueuedReads) {
   ASSERT_TRUE(write_file(path, text).is_ok());
 
   auto pool = std::make_shared<storage::BufferManager>();
-  StreamOptions options;
-  options.fragment_bytes = 8 * 1024;
+  PipelineOptions options;
+  options.partition_size = 8 * 1024;
   options.prefetch = true;
   options.pool = pool;
   auto source = StreamingFragmentSource::open(path, options);
@@ -805,8 +795,8 @@ TEST(StreamingFragmentSource, ZeroFragmentTeardownLeavesNothingPinned) {
 
   auto pool = std::make_shared<storage::BufferManager>();
   {
-    StreamOptions options;
-    options.fragment_bytes = 4 * 1024;
+    PipelineOptions options;
+    options.partition_size = 4 * 1024;
     options.prefetch = true;
     options.pool = pool;
     auto source = StreamingFragmentSource::open(path, options);

@@ -48,7 +48,15 @@ struct RuntimeFixture : ::testing::Test {
   RuntimeFixture() {
     sd1 = std::make_unique<LiveSd>(2);
     sd2 = std::make_unique<LiveSd>(4);
+    runtime = std::make_unique<McsdRuntime>(options());
 
+    apps::CorpusOptions corpus;
+    corpus.bytes = 128 * 1024;
+    corpus.vocabulary = 300;
+    text = apps::generate_corpus(corpus);
+  }
+
+  [[nodiscard]] RuntimeOptions options() const {
     RuntimeOptions opts;
     opts.host_workers = 2;
     opts.invoke_timeout = 30'000ms;
@@ -56,12 +64,7 @@ struct RuntimeFixture : ::testing::Test {
         SdEndpoint{sd1->dir.path(), SiteSpec{2, 1.0, 0.9}},
         SdEndpoint{sd2->dir.path(), SiteSpec{4, 1.0, 0.9}},
     };
-    runtime = std::make_unique<McsdRuntime>(std::move(opts));
-
-    apps::CorpusOptions corpus;
-    corpus.bytes = 128 * 1024;
-    corpus.vocabulary = 300;
-    text = apps::generate_corpus(corpus);
+    return opts;
   }
 
   std::unique_ptr<LiveSd> sd1;
@@ -71,13 +74,22 @@ struct RuntimeFixture : ::testing::Test {
 };
 
 TEST_F(RuntimeFixture, HostPlacementMatchesReference) {
-  runtime->force_placement(Placement::kHost);
-  const auto result = runtime->word_count(text);
-  ASSERT_TRUE(result.is_ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().report.placement, Placement::kHost);
-  EXPECT_EQ(result.value().report.storage_nodes_used, 0u);
-  EXPECT_EQ(to_map(result.value().counts),
-            to_map(apps::wordcount_sequential(text)));
+  auto expected = apps::wordcount_sequential(text);
+  apps::sort_by_frequency_desc(expected);
+  // Native, and partitioned into 8 fragments merged one by one.
+  for (const std::uint64_t partition_size : {0u, 16u * 1024}) {
+    SCOPED_TRACE(testing::Message() << "host_partition_size="
+                                    << partition_size);
+    RuntimeOptions opts = options();
+    opts.host_partition_size = partition_size;
+    McsdRuntime host{std::move(opts)};
+    host.force_placement(Placement::kHost);
+    const auto result = host.word_count(text);
+    ASSERT_TRUE(result.is_ok()) << result.error().to_string();
+    EXPECT_EQ(result.value().report.placement, Placement::kHost);
+    EXPECT_EQ(result.value().report.storage_nodes_used, 0u);
+    EXPECT_EQ(result.value().counts, expected);
+  }
 }
 
 TEST_F(RuntimeFixture, OffloadedWordCountMatchesReference) {

@@ -173,19 +173,5 @@ TEST(FillShares, ZeroWeightGetsNothingUnderProportional) {
   EXPECT_NEAR(slots[1].share, 4.0, 1e-12);
 }
 
-TEST(Malleable, ProportionalModeConvergesCoRunners) {
-  // Equal shares finish the light job first; proportional weights the
-  // heavy job, so both finish nearer each other and the makespan drops
-  // to the balanced optimum: 40 core-s over 4 cores = 10 s.
-  const std::vector<MalleableJob> jobs{{"light", 0.0, 8.0, 0},
-                                       {"heavy", 0.0, 32.0, 0}};
-  const auto equal = schedule_malleable(jobs, kQuad);
-  const auto prop = schedule_malleable(
-      jobs, kQuad, MalleableOptions{ShareMode::kProportional});
-  EXPECT_NEAR(prop.makespan_seconds, 10.0, 1e-6);
-  EXPECT_LE(prop.makespan_seconds, equal.makespan_seconds + 1e-9);
-  EXPECT_NEAR(prop.finish_seconds[0], prop.finish_seconds[1], 1e-6);
-}
-
 }  // namespace
 }  // namespace mcsd::sim
