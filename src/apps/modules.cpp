@@ -54,12 +54,6 @@ double request_read_throttle(const KeyValueMap& params) {
 template <typename Spec>
 class WarmEngines {
  public:
-  /// `sort_output_by_key`: each engine run hands back key-sorted output
-  /// (sorted in parallel on the engine's workers) for a merge that
-  /// needs key order.
-  explicit WarmEngines(bool sort_output_by_key = false)
-      : sort_output_by_key_(sort_output_by_key) {}
-
   using EnginePtr = std::unique_ptr<mr::Engine<Spec>>;
 
   /// Exclusive use of one engine for one run; returns it to the idle
@@ -95,12 +89,10 @@ class WarmEngines {
     }
     mr::Options opts;
     opts.num_workers = workers;
-    opts.sort_output_by_key = sort_output_by_key_;
     return Lease{*this, workers, std::make_unique<mr::Engine<Spec>>(opts)};
   }
 
  private:
-  bool sort_output_by_key_;
   std::mutex mutex_;
   std::map<std::size_t, std::vector<EnginePtr>> idle_;
 };
@@ -123,10 +115,10 @@ std::shared_ptr<fam::Module> make_wordcount_module(
   auto module = std::make_shared<fam::FunctionModule>(
       "wordcount",
       [default_workers, pool = std::move(pool),
-       // Key-sorted engine output: the incremental sum merge then folds
-       // each batch linearly instead of sorting it on this thread.
-       warm = std::make_shared<WarmEngines<WordCountSpec>>(
-           /*sort_output_by_key=*/true)](
+       // Engine output arrives in hash order, which the sum merge folds
+       // linearly; the reply's frequency order is a total order, so no
+       // key sort is needed anywhere.
+       warm = std::make_shared<WarmEngines<WordCountSpec>>()](
           const KeyValueMap& params) -> Result<KeyValueMap> {
         const auto input = params.get("input");
         if (!input) return Error{ErrorCode::kInvalidArgument, "missing input"};

@@ -95,7 +95,9 @@ struct Options {
   double usable_memory_fraction = 0.6;
 
   /// If true the final output is sorted by key; if false, output order is
-  /// bucket order (deterministic for a fixed bucket count).
+  /// bucket order (deterministic for a fixed bucket count).  For a spec
+  /// with a reduce hook that is ascending (key hash, key), the order
+  /// part::sum_merge_into folds without sorting.
   bool sort_output_by_key = false;
 
   /// When true the map phase attributes cycles per worker: tokenize vs

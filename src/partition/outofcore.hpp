@@ -22,7 +22,11 @@
 //    are read ahead into frames by the pool's I/O threads while this one
 //    runs, so there is no whole-input materialisation up front.  A
 //    fragment spanning more frames than the pin window (a quarter of the
-//    pool) runs as several engine batches, each folded in turn.
+//    pool, or an eighth for a file larger than the pool) runs as several
+//    engine batches, each folded in turn.  Word Count's sum fold keeps
+//    its running result in the engine's hash order, so each batch costs
+//    one linear merge (merger.hpp); callers that want key order sort the
+//    result once.
 #pragma once
 
 #include <cstdint>

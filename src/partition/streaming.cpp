@@ -255,17 +255,12 @@ Result<StreamingFragmentSource> StreamingFragmentSource::open(
   std::shared_ptr<storage::BufferManager> pool =
       options.pool ? options.pool : storage::process_pool();
 
-  // The pin window is a quarter of the pool; read-ahead past it stays
-  // within PooledFileSource's cap (half the pool), so a quarter is left
-  // for pages kept for the next run and for other readers.
-  const std::size_t window =
-      std::max<std::size_t>(1, pool->capacity_frames() / 4);
   storage::SourceOptions source_options;
   source_options.read_throttle_mibps = options.read_throttle_mibps;
   source_options.hint = storage::AccessHint::kSequential;
   if (options.prefetch) {
     // Read about one fragment ahead — the pool analogue of the old
-    // double-buffering prefetch thread.
+    // double-buffering prefetch thread — within PooledFileSource's cap.
     const std::size_t frame = pool->frame_bytes();
     const std::uint64_t target =
         options.partition_size == 0
@@ -274,10 +269,21 @@ Result<StreamingFragmentSource> StreamingFragmentSource::open(
     source_options.readahead_pages = std::max<std::size_t>(
         1, static_cast<std::size_t>((target + frame - 1) / frame));
   }
+  const std::size_t frames = pool->capacity_frames();
   auto source =
       storage::PooledFileSource::open(std::move(pool), path, source_options);
   if (!source.is_ok()) return source.error();
 
+  // The pin window.  A file that fits the pool gets a quarter of it, so
+  // it usually streams as one batch per fragment.  A file larger than
+  // the pool gets an eighth: with read-ahead capped at another eighth
+  // (PooledFileSource::open), the stream holds a quarter of the pool and
+  // the other three quarters keep the file's earlier pages for the next
+  // run and serve other readers.
+  const bool fits =
+      source.value().file()->size() <= source.value().pool()->capacity_bytes();
+  const std::size_t window =
+      std::max<std::size_t>(1, fits ? frames / 4 : frames / 8);
   return StreamingFragmentSource{std::make_unique<State>(
       std::move(source).value(), std::move(options), path.string(), window)};
 }

@@ -20,23 +20,29 @@
 // its own span, so no view ever splits a record.  Those records are the
 // only bytes copied (obs histogram part.stitch_bytes).
 //
-// Pin window: a stream pins at most capacity_frames / 4 frames (the
-// window), plus read-ahead past them, so a quarter of the pool keeps
-// pages for the next run — the earlier pages of a file larger than the
-// pool survive the scan ring — and for other readers.  A batch also
-// ends early rather than wait for a frame while other readers pin all
-// the rest, so concurrent streams cannot wedge a shared pool.  A
-// fragment spanning more frames than the window arrives as several
-// batches with the same index, each its own engine run.  A frame is
-// unpinned once every span over it has been handed out and the consumer
-// asks for the next batch; the frame the next batch starts in stays
-// pinned.  Pins are RAII guards: destroying the source on any path (an
-// exception out of the engine included) releases every one.
+// Pin window: a stream pins at most a window of frames, plus read-ahead
+// past them.  A file that fits the pool gets a window of
+// capacity_frames / 4, which usually holds a whole fragment.  A file
+// larger than the pool gets capacity_frames / 8 and read-ahead of at
+// most another eighth, so three quarters of the pool keep the file's
+// earlier pages for the next run — they survive the scan ring — and
+// serve other readers.  A batch also ends early rather than wait for a
+// frame while other readers pin all the rest, so concurrent streams
+// cannot wedge a shared pool.  A fragment spanning more frames than the
+// window arrives as several batches with the same index, each its own
+// engine run.  A frame is unpinned once every span over it has been
+// handed out and the consumer asks for the next batch; the frame the
+// next batch starts in stays pinned.  Pins are RAII guards: destroying
+// the source on any path (an exception out of the engine included)
+// releases every one.
 //
 // Overlap model: read-ahead.  In prefetch mode the source keeps about a
-// fragment's worth of upcoming pages (at most capacity_frames / 2 - 1)
-// queued past the last pinned page to the pool's I/O threads, so while
-// the engine maps batch N the pages of batch N+1 land in frames.
+// fragment's worth of page loads (at most capacity_frames / 2 - 1, or
+// capacity_frames / 8 for a file larger than the pool) queued past the
+// last pinned page to the pool's I/O threads, so while the engine maps
+// batch N the pages of batch N+1 land in frames.  Loads are counted,
+// not pages: pages still resident from an earlier run are skipped, so
+// the device reads on while the engine works through them.
 //
 // Residency: the only private input bytes are the stitched records of
 // the current batch; everything else lives in pool frames, bounded by
@@ -88,9 +94,9 @@ struct PipelineOptions {
   /// ever cut across fragments.
   DelimiterPred is_delimiter = default_delimiters();
 
-  /// True: keep ~1 fragment of pages queued as pool read-ahead so reads
-  /// overlap compute.  False: no read-ahead — every page load happens
-  /// inside next() (the serial A/B baseline).
+  /// True: keep ~1 fragment of page loads queued as pool read-ahead so
+  /// reads overlap compute.  False: no read-ahead — every page load
+  /// happens inside next() (the serial A/B baseline).
   bool prefetch = true;
 
   /// Emulated sequential-read rate in MiB/s applied to page *loads*;

@@ -352,21 +352,22 @@ Result<FrameGuard> BufferManager::pin_write(const std::shared_ptr<File>& file,
   }
 }
 
-void BufferManager::prefetch(const std::shared_ptr<File>& file,
-                             std::uint64_t page_no, AccessHint hint,
-                             double throttle_mibps) {
-  if (!file) return;
+BufferManager::Prefetch BufferManager::prefetch(
+    const std::shared_ptr<File>& file, std::uint64_t page_no, AccessHint hint,
+    double throttle_mibps) {
+  if (!file) return Prefetch::kNoFrame;
   const PageId page{file->id(), page_no};
   std::uint32_t idx = 0;
   {
     std::unique_lock lock{mutex_};
-    if (table_.contains(page)) return;  // resident or already in flight
+    // Resident or already in flight.
+    if (table_.contains(page)) return Prefetch::kMapped;
     // Opportunistic only: never write back, never wait — a prefetch that
     // would stall the consumer defeats its purpose.
     auto acquired = acquire_frame_locked(lock, /*allow_writeback=*/false,
                                          /*allow_wait=*/false,
                                          overflowing_scan(*file, hint));
-    if (!acquired.is_ok()) return;
+    if (!acquired.is_ok()) return Prefetch::kNoFrame;
     idx = acquired.value();
     map_for_load_locked(idx, page, file, hint);
     ++misses_;  // a prefetch *is* the I/O initiation for this page
@@ -374,6 +375,7 @@ void BufferManager::prefetch(const std::shared_ptr<File>& file,
   }
   MCSD_OBS_COUNT("storage.prefetches", 1);
   requests_.push(IoRequest{idx, throttle_mibps});
+  return Prefetch::kQueued;
 }
 
 Status BufferManager::flush(const std::shared_ptr<File>& file) {

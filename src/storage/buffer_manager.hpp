@@ -236,11 +236,20 @@ class BufferManager {
   Result<FrameGuard> pin_write(const std::shared_ptr<File>& file,
                                std::uint64_t page_no);
 
+  /// What prefetch() did with a page.
+  enum class Prefetch : std::uint8_t {
+    kQueued,   ///< a background load was queued
+    kMapped,   ///< nothing to do: the page is resident or in flight
+    kNoFrame,  ///< absent, but no frame was free without write-back or
+               ///< waiting: nothing queued
+  };
+
   /// Queues a background load if the page is absent and a frame is
   /// available without write-back or waiting; otherwise does nothing.
-  void prefetch(const std::shared_ptr<File>& file, std::uint64_t page_no,
-                AccessHint hint = AccessHint::kSequential,
-                double throttle_mibps = 0.0);
+  /// Read-ahead counts its loads by the result.
+  Prefetch prefetch(const std::shared_ptr<File>& file, std::uint64_t page_no,
+                    AccessHint hint = AccessHint::kSequential,
+                    double throttle_mibps = 0.0);
 
   /// Writes back every unpinned dirty page of `file` (frames stay
   /// resident).  The durability point for spill data.

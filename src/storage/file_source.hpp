@@ -4,9 +4,11 @@
 //    hands out a page *in place* (a FrameGuard over the pool frame, no
 //    copy) after queueing read-ahead to the pool's I/O threads, so the
 //    next pages load while the caller computes on this one, and every
-//    page it loads *stays* loaded for the next run.  The streaming
-//    fragment source (partition/streaming.hpp) maps the engine straight
-//    over these pinned frames.
+//    page it loads *stays* loaded for the next run.  Read-ahead is
+//    counted in loads: pages still resident from an earlier run are
+//    skipped, so the device keeps working while the caller consumes
+//    them.  The streaming fragment source (partition/streaming.hpp) maps
+//    the engine straight over these pinned frames.
 //  * SpillWriter — append-only writer that fills pool frames and lets
 //    eviction / flush() write them back: spill data transits the same
 //    frames and fault sites as everything else.
@@ -14,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -25,8 +28,11 @@
 namespace mcsd::storage {
 
 struct SourceOptions {
-  /// Pages queued ahead of the highest page pinned so far.  0 disables
-  /// read-ahead (the serial A/B baseline).
+  /// Loads kept queued past the page last pinned.  Pages already
+  /// resident or in flight are skipped and not counted, so read-ahead
+  /// reaches past the pages an earlier run left in the pool; it looks at
+  /// most capacity_frames() pages ahead.  0 disables read-ahead (the
+  /// serial A/B baseline).
   std::size_t readahead_pages = 0;
 
   /// Emulated device rate applied to page *loads* (see
@@ -40,16 +46,20 @@ struct SourceOptions {
 class PooledFileSource {
  public:
   /// Registers `path` with `pool` (kNotFound if absent).  Read-ahead is
-  /// capped at capacity_frames() / 2 - 1 pages, so a deep request can
-  /// never consume the pool.
+  /// capped at capacity_frames() / 2 - 1 loads, so a deep request can
+  /// never consume the pool; a sequential scan of a file larger than the
+  /// pool gets at most capacity_frames() / 8 (at least one), so most of
+  /// the pool keeps the file's pages for the next scan.
   static Result<PooledFileSource> open(std::shared_ptr<BufferManager> pool,
                                        const std::filesystem::path& path,
                                        SourceOptions options = {});
 
-  /// Queues read-ahead up to `page_no + readahead_pages`, then pins page
-  /// `page_no`.  The guard's bytes() are the page in place; a page
-  /// shorter than frame_bytes() is the file's last, and a page past
-  /// end-of-file is empty.
+  /// Tops read-ahead up to `readahead_pages` loads queued past
+  /// `page_no` (skipping pages already resident or in flight, and loads
+  /// the pool has no free frame for yet), then pins page `page_no`.  The
+  /// guard's bytes() are the page in place; a page shorter than
+  /// frame_bytes() is the file's last, and a page past end-of-file is
+  /// empty.
   Result<FrameGuard> pin(std::uint64_t page_no);
 
   [[nodiscard]] const std::shared_ptr<File>& file() const noexcept {
@@ -64,10 +74,14 @@ class PooledFileSource {
                    std::shared_ptr<File> file, SourceOptions options)
       : pool_(std::move(pool)), file_(std::move(file)), options_(options) {}
 
+  void queue_readahead(std::uint64_t page_no);
+
   std::shared_ptr<BufferManager> pool_;
   std::shared_ptr<File> file_;
   SourceOptions options_;
-  std::uint64_t prefetch_cursor_ = 0;  ///< next page to queue read-ahead for
+  std::uint64_t prefetch_cursor_ = 0;  ///< next page to consider for read-ahead
+  std::deque<std::uint64_t> queued_;   ///< pages this source queued, not yet
+                                       ///< passed by the cursor
 };
 
 /// Append-only spill writer over pool frames.  Not thread-safe.  Pages

@@ -9,6 +9,7 @@
 #include "apps/datagen.hpp"
 #include "apps/stringmatch.hpp"
 #include "apps/wordcount.hpp"
+#include "core/hash.hpp"
 #include "core/random.hpp"
 #include "core/units.hpp"
 
@@ -140,8 +141,25 @@ std::vector<mr::KV<K, V>> fold_all(
   return running;
 }
 
+using Pair = mr::KV<std::string, std::uint64_t>;
+
+/// sum_merge_into's order: ascending (string_hash(key), key).
+bool hash_less(const Pair& a, const Pair& b) {
+  const std::uint64_t ha = string_hash(a.key);
+  const std::uint64_t hb = string_hash(b.key);
+  return ha != hb ? ha < hb : a.key < b.key;
+}
+
+/// The pairs of `sums` in sum_merge_into's order.
+std::vector<Pair> in_hash_order(
+    const std::map<std::string, std::uint64_t>& sums) {
+  std::vector<Pair> pairs;
+  for (const auto& [key, value] : sums) pairs.push_back({key, value});
+  std::sort(pairs.begin(), pairs.end(), hash_less);
+  return pairs;
+}
+
 TEST(Mergers, SumMergeAddsAcrossFragments) {
-  using Pair = mr::KV<std::string, std::uint64_t>;
   std::vector<std::vector<Pair>> outputs{
       {{"a", 1}, {"b", 2}},
       {{"b", 3}, {"c", 4}},
@@ -149,18 +167,12 @@ TEST(Mergers, SumMergeAddsAcrossFragments) {
   };
   const auto merged = fold_all(std::move(outputs),
                                sum_incremental<std::string, std::uint64_t>());
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].key, "a");
-  EXPECT_EQ(merged[0].value, 6u);
-  EXPECT_EQ(merged[1].key, "b");
-  EXPECT_EQ(merged[1].value, 5u);
-  EXPECT_EQ(merged[2].key, "c");
-  EXPECT_EQ(merged[2].value, 4u);
+  EXPECT_EQ(merged, in_hash_order({{"a", 6}, {"b", 5}, {"c", 4}}));
 }
 
 TEST(Mergers, ConcatMergePreservesFragmentOrder) {
-  using Pair = mr::KV<std::uint64_t, std::uint32_t>;
-  std::vector<std::vector<Pair>> outputs{{{10, 0}}, {{5, 1}}, {{7, 2}}};
+  using IdPair = mr::KV<std::uint64_t, std::uint32_t>;
+  std::vector<std::vector<IdPair>> outputs{{{10, 0}}, {{5, 1}}, {{7, 2}}};
   const auto merged = fold_all(
       std::move(outputs), concat_incremental<std::uint64_t, std::uint32_t>());
   ASSERT_EQ(merged.size(), 3u);
@@ -170,7 +182,6 @@ TEST(Mergers, ConcatMergePreservesFragmentOrder) {
 }
 
 TEST(Mergers, EmptyInputs) {
-  using Pair = mr::KV<std::string, std::uint64_t>;
   const auto sum = sum_incremental<std::string, std::uint64_t>();
   const auto concat = concat_incremental<std::string, std::uint64_t>();
   EXPECT_TRUE((fold_all<std::string, std::uint64_t>({}, sum).empty()));
@@ -181,7 +192,6 @@ TEST(Mergers, EmptyInputs) {
 }
 
 TEST(Mergers, SumMergeIntoFoldsFragmentByFragment) {
-  using Pair = mr::KV<std::string, std::uint64_t>;
   std::vector<std::vector<Pair>> outputs{
       {{"a", 1}, {"b", 2}},
       {{"c", 4}, {"b", 3}},  // unsorted fresh batch
@@ -191,17 +201,13 @@ TEST(Mergers, SumMergeIntoFoldsFragmentByFragment) {
   std::vector<Pair> running;
   for (auto& fresh : outputs) {
     sum_merge_into(running, std::move(fresh));
-    EXPECT_TRUE(std::is_sorted(
-        running.begin(), running.end(),
-        [](const Pair& x, const Pair& y) { return x.key < y.key; }));
+    EXPECT_TRUE(std::is_sorted(running.begin(), running.end(), hash_less));
   }
-  const std::vector<Pair> expected{{"a", 6}, {"b", 5}, {"c", 4}};
-  EXPECT_EQ(running, expected);
+  EXPECT_EQ(running, in_hash_order({{"a", 6}, {"b", 5}, {"c", 4}}));
 
-  // Engine output arrives key-sorted when sort_output_by_key is on, and
-  // in any order otherwise: the fold gives the same key-sorted,
-  // key-unique result either way, over an odd number of runs with empty
-  // ones among them.
+  // Engine output arrives in hash order unless the engine sorts by key;
+  // the fold gives the same hash-ordered, key-unique result either way,
+  // over an odd number of runs with empty ones among them.
   Rng rng{99};
   std::vector<Pair> sorted_running;
   std::vector<Pair> reversed_running;
@@ -221,28 +227,90 @@ TEST(Mergers, SumMergeIntoFoldsFragmentByFragment) {
     sum_merge_into(reversed_running, std::move(reversed));
   }
   EXPECT_EQ(sorted_running, reversed_running);
-  EXPECT_EQ(to_map(sorted_running), sums);
-  EXPECT_EQ(sorted_running.size(), sums.size());  // keys unique
-  EXPECT_TRUE(std::is_sorted(
-      sorted_running.begin(), sorted_running.end(),
-      [](const Pair& x, const Pair& y) { return x.key < y.key; }));
+  EXPECT_EQ(sorted_running, in_hash_order(sums));  // summed, keys unique
+}
+
+// Batches in key order, in hash order (the engine's), reversed, and with
+// repeated keys, folded over a running result that keeps growing and
+// one that has every key already: each gives the std::map sum.
+TEST(Mergers, SumMergeIntoAnyBatchOrderMatchesMapSum) {
+  enum class Order { kKey, kHash, kReversed, kDuplicates };
+  for (const Order order :
+       {Order::kKey, Order::kHash, Order::kReversed, Order::kDuplicates}) {
+    SCOPED_TRACE(static_cast<int>(order));
+    Rng rng{7 + static_cast<std::uint64_t>(order)};
+    std::vector<Pair> running;
+    std::map<std::string, std::uint64_t> sums;
+    for (int run = 0; run < 12; ++run) {
+      // Early runs bring new keys; later ones mostly keys already held.
+      std::map<std::string, std::uint64_t> batch;
+      const std::size_t keys = run < 6 ? 40 + 60 * run : 500;
+      for (std::size_t i = 0; i < 150; ++i) {
+        batch["w" + std::to_string(rng.next_below(keys))] +=
+            1 + rng.next_below(9);
+      }
+      std::vector<Pair> fresh;
+      for (const auto& [key, value] : batch) {
+        sums[key] += value;
+        if (order == Order::kDuplicates && value > 1) {
+          // Split the count over two pairs of the same key.
+          fresh.push_back({key, 1});
+          fresh.push_back({key, value - 1});
+        } else {
+          fresh.push_back({key, value});
+        }
+      }
+      if (order == Order::kHash) {
+        std::sort(fresh.begin(), fresh.end(), hash_less);
+      } else if (order == Order::kReversed) {
+        std::sort(fresh.begin(), fresh.end(),
+                  [](const Pair& a, const Pair& b) { return hash_less(b, a); });
+      }
+      sum_merge_into(running, std::move(fresh));
+      ASSERT_EQ(running, in_hash_order(sums)) << "after run " << run;
+    }
+  }
+}
+
+// The fold's fast path: Word Count engine output, not sorted by key,
+// already is in the running result's order at every worker count.
+TEST(Mergers, WordCountEngineOutputArrivesInHashOrder) {
+  apps::CorpusOptions corpus;
+  corpus.bytes = 128 * 1024;
+  corpus.vocabulary = 2000;
+  const std::string text = apps::generate_corpus(corpus);
+  for (const std::size_t workers : {1, 2, 4}) {
+    mr::Options opts;
+    opts.num_workers = workers;
+    mr::Engine<WordCountSpec> engine{opts};
+    const auto output =
+        engine.run(WordCountSpec{}, mr::split_text(text, 16 * 1024));
+    ASSERT_GT(output.size(), 1000u);
+    // Strictly ascending: ordered and key-unique.
+    EXPECT_EQ(std::adjacent_find(output.begin(), output.end(),
+                                 [](const Pair& a, const Pair& b) {
+                                   return !hash_less(a, b);
+                                 }),
+              output.end())
+        << "workers=" << workers;
+  }
 }
 
 TEST(Mergers, FirstBatchIsMovedNotCopied) {
-  // A key-sorted, key-unique first batch becomes the running result as is
-  // (same buffer); a sorted batch with a repeated key still gets folded.
-  using Pair = mr::KV<std::string, std::uint64_t>;
-  std::vector<Pair> fresh{{"a", 1}, {"b", 2}, {"c", 3}};
+  // A hash-ordered, key-unique first batch becomes the running result as
+  // is (same buffer); a batch with a repeated key still gets folded.
+  std::vector<Pair> fresh = in_hash_order({{"a", 1}, {"b", 2}, {"c", 3}});
+  const std::vector<Pair> first = fresh;
   const Pair* buffer = fresh.data();
   std::vector<Pair> running;
   sum_merge_into(running, std::move(fresh));
   EXPECT_EQ(running.data(), buffer);
-  EXPECT_EQ(running, (std::vector<Pair>{{"a", 1}, {"b", 2}, {"c", 3}}));
+  EXPECT_EQ(running, first);
 
   std::vector<Pair> repeated_running;
   sum_merge_into(repeated_running,
                  std::vector<Pair>{{"a", 1}, {"a", 2}, {"b", 1}});
-  EXPECT_EQ(repeated_running, (std::vector<Pair>{{"a", 3}, {"b", 1}}));
+  EXPECT_EQ(repeated_running, in_hash_order({{"a", 3}, {"b", 1}}));
 
   auto concat_inc = concat_incremental<std::string, std::uint64_t>();
   std::vector<Pair> batch{{"z", 1}, {"y", 2}};
@@ -254,7 +322,6 @@ TEST(Mergers, FirstBatchIsMovedNotCopied) {
 }
 
 TEST(Mergers, IncrementalHelpersMatchTerminalMergers) {
-  using Pair = mr::KV<std::string, std::uint64_t>;
   const std::vector<std::vector<Pair>> outputs{
       {{"x", 1}, {"y", 2}}, {{"x", 3}}, {{"z", 9}, {"y", 1}}};
 
@@ -268,11 +335,9 @@ TEST(Mergers, IncrementalHelpersMatchTerminalMergers) {
       concatenated.push_back(kv);
     }
   }
-  std::vector<Pair> summed_pairs;
-  for (const auto& [key, value] : summed) summed_pairs.push_back({key, value});
 
   EXPECT_EQ(fold_all(outputs, sum_incremental<std::string, std::uint64_t>()),
-            summed_pairs);
+            in_hash_order(summed));
   EXPECT_EQ(fold_all(outputs, concat_incremental<std::string, std::uint64_t>()),
             concatenated);
 }

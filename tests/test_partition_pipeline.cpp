@@ -22,6 +22,7 @@
 #include "apps/datagen.hpp"
 #include "apps/stringmatch.hpp"
 #include "apps/wordcount.hpp"
+#include "core/hash.hpp"
 #include "core/io.hpp"
 #include "core/random.hpp"
 #include "partition/streaming.hpp"
@@ -40,7 +41,7 @@ std::map<std::string, std::uint64_t> to_map(
 }
 
 /// A pool of `frames` frames of `frame_bytes` each (pin window: a
-/// quarter of them).
+/// quarter of them for a file that fits, an eighth for a larger one).
 std::shared_ptr<storage::BufferManager> frame_pool(std::size_t frame_bytes,
                                                    std::size_t frames) {
   storage::PoolOptions options;
@@ -408,7 +409,9 @@ TEST(RunPartitionedFile, PinnedRunsMatchInMemoryRuns) {
   ASSERT_TRUE(write_file(dir / "words.txt", words).is_ok());
   ASSERT_TRUE(write_file(dir / "lines.txt", line_text).is_ok());
 
-  constexpr std::size_t kFrames = 16;  // pin window: 4 frames
+  // Both files are larger than either pool: pin window kFrames / 8.
+  constexpr std::size_t kFrames = 16;
+  constexpr std::size_t kWindow = kFrames / 8;
   for (const std::size_t frame : {std::size_t{61}, std::size_t{1000}}) {
     for (const std::uint64_t partition_size :
          {std::uint64_t{0}, std::uint64_t{frame / 2}, std::uint64_t{3 * frame},
@@ -457,12 +460,50 @@ TEST(RunPartitionedFile, PinnedRunsMatchInMemoryRuns) {
                   apps::stringmatch_sequential(line_text, sm_spec.keys));
 
         // A fragment larger than the window runs as several batches.
-        if (partition_size == 0 || partition_size > 4 * frame) {
+        if (partition_size == 0 || partition_size > kWindow * frame) {
           EXPECT_GT(wc_metrics.engine_batches, wc_metrics.fragments);
         }
         EXPECT_EQ(stream.pool->stats().pinned_frames, 0u);
       }
     }
+  }
+}
+
+// Word Count over a file four times the pool, with fragments eight times
+// the pin window: every fragment runs as many engine batches, each folded
+// into the running result without a sort, and the counts equal the
+// sequential reference at every worker count.
+TEST(RunPartitionedFile, ManyBatchesPerFragmentMatchSequentialWordCount) {
+  apps::CorpusOptions corpus;
+  corpus.bytes = 256 * 1024;
+  corpus.vocabulary = 3000;
+  const std::string text = apps::generate_corpus(corpus);
+  TempDir dir{"pipeline"};
+  const auto path = dir / "corpus.txt";
+  ASSERT_TRUE(write_file(path, text).is_ok());
+  const auto expected = to_map(apps::wordcount_sequential(text));
+
+  constexpr std::size_t kFrame = 1024;
+  constexpr std::size_t kFrames = 64;  // pin window: kFrames / 8
+  for (const std::size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    PipelineOptions stream;
+    stream.partition_size = 8 * (kFrames / 8) * kFrame;
+    stream.pool = frame_pool(kFrame, kFrames);
+    mr::Options opts;
+    opts.num_workers = workers;
+    mr::Engine<WordCountSpec> engine{opts};
+    TextJob<WordCountSpec> job;
+    job.incremental_merge = sum_incremental<std::string, std::uint64_t>();
+    OutOfCoreMetrics metrics;
+    const auto counts = run_partitioned_file(engine, WordCountSpec{}, path,
+                                             stream, job, &metrics);
+    ASSERT_TRUE(counts.is_ok());
+    EXPECT_EQ(to_map(counts.value()), expected);
+    EXPECT_EQ(counts.value().size(), expected.size());  // keys unique
+    EXPECT_GE(metrics.fragments, 4u);
+    EXPECT_GE(metrics.engine_batches, 8 * metrics.fragments - 8);
+    EXPECT_EQ(stream.pool->stats().pinned_frames, 0u);
   }
 }
 
@@ -491,7 +532,7 @@ TEST(RunPartitionedFile, StitchedBytesBoundedByWindowTimesLongestRecord) {
   auto pool = frame_pool(4 * 1024, kFrames);
   mr::Engine<WordCountSpec> engine{mr::Options{}};
   PipelineOptions stream;
-  stream.partition_size = 64 * 1024;  // 16 frames, twice the window
+  stream.partition_size = 64 * 1024;  // 16 frames, four times the window
   stream.prefetch = true;
   stream.pool = pool;
   TextJob<WordCountSpec> job;
@@ -504,7 +545,7 @@ TEST(RunPartitionedFile, StitchedBytesBoundedByWindowTimesLongestRecord) {
   EXPECT_GE(metrics.engine_batches, metrics.fragments);
   EXPECT_GT(metrics.peak_resident_fragment_bytes, 0u);
   EXPECT_LE(metrics.peak_resident_fragment_bytes,
-            (kFrames / 4 + 1) * longest);  // pin window: kFrames / 4
+            (kFrames / 8 + 1) * longest);  // pin window: kFrames / 8
   EXPECT_GT(metrics.storage_misses, 0u);
   EXPECT_EQ(pool->stats().pinned_frames, 0u);  // nothing leaks pins
 }
@@ -708,7 +749,7 @@ TEST(StreamingFragmentSource, ConcurrentStreamsShareASmallPool) {
   TempDir dir{"pipeline"};
   const auto path = dir / "shared.txt";
   ASSERT_TRUE(write_file(path, payload).is_ok());
-  auto pool = frame_pool(256, 8);  // pin window: 2 frames
+  auto pool = frame_pool(256, 8);  // larger file: pin window 1 frame
 
   constexpr int kStreams = 12;
   std::atomic<int> exact{0};
@@ -738,7 +779,7 @@ TEST(StreamingFragmentSource, ConcurrentStreamsShareASmallPool) {
 
 // Incremental merge inside the in-memory driver, fragment by fragment:
 // the same counts as one whole-input pass (the terminal result), held
-// key-sorted and key-unique.
+// key-unique in hash order (ascending string_hash, then key).
 TEST(RunPartitioned, IncrementalMergeMatchesTerminalMerge) {
   apps::CorpusOptions corpus;
   corpus.bytes = 128 * 1024;
@@ -758,6 +799,11 @@ TEST(RunPartitioned, IncrementalMergeMatchesTerminalMerge) {
   for (const auto& [word, count] : to_map(apps::wordcount_sequential(text))) {
     whole.push_back({word, count});
   }
+  std::sort(whole.begin(), whole.end(), [](const auto& a, const auto& b) {
+    const std::uint64_t ha = string_hash(a.key);
+    const std::uint64_t hb = string_hash(b.key);
+    return ha != hb ? ha < hb : a.key < b.key;
+  });
   EXPECT_EQ(merged, whole);
 }
 

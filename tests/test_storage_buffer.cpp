@@ -375,7 +375,8 @@ TEST(BufferManager, LoopingScanLargerThanPoolKeepsEarlierPages) {
   const auto path = dir / "scan.bin";
   constexpr std::size_t kPool = 8;
   constexpr std::size_t kPages = 4 * kPool;
-  constexpr std::size_t kReadahead = kPool / 2 - 1;  // PooledFileSource's cap
+  // PooledFileSource's cap for a file larger than the pool.
+  constexpr std::size_t kReadahead = kPool / 8 > 0 ? kPool / 8 : 1;
   const std::string data = patterned(kPages);
   ASSERT_TRUE(write_file(path, data).is_ok());
 
@@ -390,6 +391,75 @@ TEST(BufferManager, LoopingScanLargerThanPoolKeepsEarlierPages) {
   ASSERT_LE(loads, kPages);
   EXPECT_GE(kPages - loads, kPool - (kReadahead + 2))
       << "second scan found none of the first scan's pages resident";
+}
+
+// The streaming source's footprint over a file larger than the pool: a
+// pin window of an eighth of the pool and read-ahead of another eighth.
+// Every other frame keeps a page of the previous pass, so passes 2-4
+// re-read at most the pages the footprint cannot keep, plus a little.
+TEST(BufferManager, LoopingScanRereadsOnlyWhatItsFootprintDisplaces) {
+  TempDir dir{"storage"};
+  const auto path = dir / "scan.bin";
+  constexpr std::size_t kPool = 32;
+  constexpr std::size_t kPages = 4 * kPool;
+  constexpr std::size_t kWindow = kPool / 8;
+  constexpr std::size_t kFootprint = kWindow + kPool / 8;
+  constexpr std::size_t kSlack = 2;
+  const std::string data = patterned(kPages);
+  ASSERT_TRUE(write_file(path, data).is_ok());
+
+  auto pool = std::make_shared<BufferManager>(tiny_pool(kPool));
+  ASSERT_TRUE(
+      scan(pool, path, kWindow, std::chrono::microseconds{200}).is_ok());
+  for (int pass = 2; pass <= 4; ++pass) {
+    SCOPED_TRACE(pass);
+    const std::uint64_t before = pool->stats().misses;
+    auto again = scan(pool, path, kWindow, std::chrono::microseconds{200});
+    ASSERT_TRUE(again.is_ok()) << again.error().to_string();
+    EXPECT_EQ(again.value(), data);
+    EXPECT_LE(pool->stats().misses - before,
+              kPages - (kPool - kFootprint) + kSlack);
+  }
+  EXPECT_EQ(pool->stats().readahead_evicted, 0u);
+}
+
+// Read-ahead is counted in loads: pages an earlier run left resident are
+// skipped, and the loads go to the first pages past them.
+TEST(PooledFileSource, ReadAheadQueuesLoadsPastResidentPages) {
+  TempDir dir{"storage"};
+  const auto path = dir / "scan.bin";
+  constexpr std::size_t kPool = 16;
+  const std::string data = patterned(4 * kPool);
+  ASSERT_TRUE(write_file(path, data).is_ok());
+
+  auto pool = std::make_shared<BufferManager>(tiny_pool(kPool));
+  auto file = pool->open_file(path);
+  ASSERT_TRUE(file.is_ok());
+  for (std::uint64_t page = 1; page <= 6; ++page) {
+    ASSERT_TRUE(pool->pin(file.value(), page).is_ok());
+  }
+  ASSERT_EQ(pool->stats().misses, 6u);
+
+  SourceOptions options;
+  options.readahead_pages = 2;  // the cap for this file: kPool / 8
+  auto source = PooledFileSource::open(pool, path, options);
+  ASSERT_TRUE(source.is_ok());
+  ASSERT_TRUE(source.value().pin(0).is_ok());
+  // Page 0 on demand, then pages 7 and 8 ahead; 1-6 are skipped.
+  EXPECT_EQ(pool->stats().prefetches, 2u);
+  EXPECT_EQ(pool->stats().misses, 9u);
+  for (std::uint64_t page = 1; page <= 6; ++page) {
+    ASSERT_TRUE(source.value().pin(page).is_ok());
+  }
+  EXPECT_EQ(pool->stats().prefetches, 2u) << "queued past its two loads";
+  for (std::uint64_t page = 7; page <= 8; ++page) {
+    auto guard = source.value().pin(page);
+    ASSERT_TRUE(guard.is_ok());
+    EXPECT_EQ(guard.value().bytes().front(), static_cast<char>('a' + page));
+  }
+  // Pins of pages 7 and 8 were hits; each topped read-ahead back up.
+  EXPECT_EQ(pool->stats().misses, 9u + 2u);
+  EXPECT_EQ(pool->stats().prefetches, 4u);
 }
 
 // A long-lived pool's steady state: already full of other files' pages.
